@@ -31,7 +31,7 @@ from .chords import (
     parse_chord_label,
     transpose,
 )
-from .focal import FocalParams, focal_loss, focal_loss_grad, sequence_loss
+from .focal import loss_and_logit_grad, sequence_loss
 from .metrics import (
     MetricsReport,
     PerTypeLedger,

@@ -157,7 +157,7 @@ def _cmd_synth(args) -> int:
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = replace(config, seed=args.seed, augment=replace(config.augment, seed=args.seed))
     out = _out_dir(args)
     reports = run_experiment(config, out)
     for r in reports:

@@ -8,35 +8,29 @@ formula without the minus sign on the log; this module uses the standard
 convention in which the loss is nonnegative and gamma = 0 degenerates to
 plain cross-entropy.
 
-Probabilities at or below zero are clamped to a small floor before the
-log and the clamp is counted, so silently broken inputs surface in
-pipeline diagnostics instead of as NaN.
+:func:`loss_and_logit_grad` is the training objective: mean loss and
+logit gradient of a whole batch in one pass.  :func:`sequence_loss`
+validates probabilities that come from outside and returns the same
+mean loss.
+
+True-class probabilities below a small floor are clamped before the log
+and the clamp is counted, so silently broken inputs surface in
+:func:`clamp_count` instead of as NaN.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Mapping
-
 import numpy as np
 
 __all__ = [
-    "FocalParams",
-    "GAMMA_PRESETS",
     "PROB_FLOOR",
     "clamp_count",
-    "focal_loss",
-    "focal_loss_grad",
-    "focal_scalars",
+    "loss_and_logit_grad",
     "reset_clamp_count",
     "sequence_loss",
 ]
 
 PROB_FLOOR = 1e-12
-
-# Modulation strengths worth sweeping; 2 is the usual default.
-GAMMA_PRESETS = (1.0, 2.0, 5.0)
 
 _clamp_events = 0
 
@@ -56,97 +50,69 @@ def _note_clamps(n: int) -> None:
     _clamp_events += int(n)
 
 
-@dataclass(frozen=True)
-class FocalParams:
-    """Loss shape: modulation exponent, optional class weights, floor."""
-
-    gamma: float = 2.0
-    class_weights: Mapping[str, float] | None = None
-    prob_floor: float = PROB_FLOOR
-
-    def __post_init__(self) -> None:
-        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not 0 < self.prob_floor < 1:
-            raise ValueError(f"prob_floor must be in (0, 1), got {self.prob_floor}")
-        if self.class_weights is not None:
-            for cls, w in self.class_weights.items():
-                if not (w >= 0 and math.isfinite(w)):
-                    raise ValueError(f"class weight for {cls!r} must be finite and >= 0, got {w}")
+def _frame_losses(probs: np.ndarray, y: np.ndarray, gamma: float):
+    """Clamped ``p_t``, ``(1 - p_t)^gamma`` and the focal loss of every frame."""
+    p_t = probs[np.arange(y.shape[0]), y]
+    low = p_t < PROB_FLOOR
+    if low.any():
+        _note_clamps(low.sum())
+    p_t = np.clip(p_t, PROB_FLOOR, 1.0)
+    modulation = (1.0 - p_t) ** gamma
+    return p_t, modulation, modulation * -np.log(p_t)
 
 
-def focal_loss(p_t: float, gamma: float, prob_floor: float = PROB_FLOOR) -> float:
-    """Focal loss of one frame given the true-class probability.
-
-    Examples
-    --------
-    >>> round(focal_loss(0.5, 0.0), 6)
-    0.693147
-    """
-    if not p_t <= 1.0 + 1e-9:
-        raise ValueError(f"true-class probability {p_t} exceeds 1")
-    if p_t < prob_floor:
-        _note_clamps(1)
-        p_t = prob_floor
-    p_t = min(p_t, 1.0)
-    return (1.0 - p_t) ** gamma * -math.log(p_t)
-
-
-def focal_scalars(p_t: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-frame factor ``d FL / d p_t * p_t``.
-
-    With softmax probabilities ``p`` and true class ``t`` the exact
-    logit gradient is ``factor * (onehot_t - p)``, because
-    ``d p_t / d z_j = p_t * (onehot_t[j] - p[j])``.  At gamma = 0 the
-    factor is the constant -1 (cross-entropy).  The limit for p_t -> 1
-    is 0 for every gamma > 0.
-    """
-    p = np.asarray(p_t, dtype=float)
-    if gamma == 0:
-        return np.full(p.shape, -1.0)
-    u = 1.0 - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = gamma * p * u ** (gamma - 1.0) * np.log(p) - u**gamma
-    return np.where(u > 0, raw, 0.0)
-
-
-def focal_loss_grad(
-    logits: np.ndarray,
-    target: int,
+def loss_and_logit_grad(
+    probs: np.ndarray,
+    y: np.ndarray,
     gamma: float,
-    prob_floor: float = PROB_FLOOR,
-) -> np.ndarray:
-    """Exact gradient of the focal loss with respect to one frame's logits.
+    weights: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Weighted mean focal loss of a batch and its gradient in the logits.
 
     Parameters
     ----------
-    logits : array of shape (n_classes,)
-    target : index of the true class
-    gamma : modulation exponent, >= 0
+    probs : array of shape (n_frames, n_classes)
+        Softmax probabilities of the logits; not validated.
+    y : int array of shape (n_frames,)
+        True class index per frame.
+    gamma : modulation exponent, >= 0; 0 is cross-entropy
+    weights : optional array of shape (n_frames,)
+        Per-frame weight, usually the class weight of the frame's target.
 
     Returns
     -------
-    ndarray of shape (n_classes,)
+    (float, ndarray of shape (n_frames, n_classes))
+        ``mean(w * FL(p_t))`` and, row by row, the gradient of each
+        frame's weighted loss ``w * FL(p_t)`` with respect to its logits;
+        the gradient of the mean is that array divided by ``n_frames``.
+        A frame clamped at the floor keeps, to about 1e-10, the gradient
+        of its unclamped loss: its loss value is flat there, but its
+        logits are still pulled toward the true class.
     """
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 1:
-        raise ValueError(f"logits must be 1-D, got shape {z.shape}")
-    if not 0 <= target < z.shape[0]:
-        raise ValueError(f"target {target} out of range for {z.shape[0]} classes")
-    shifted = z - z.max()
-    p = np.exp(shifted)
-    p /= p.sum()
-    p_t = p[target]
-    if p_t < prob_floor:
-        _note_clamps(1)
-        p_t = prob_floor
-    direction = -p
-    direction[target] += 1.0
-    factor = focal_scalars(np.asarray([p_t]), gamma)[0]
-    return factor * direction
+    p_t, modulation, losses = _frame_losses(probs, y, gamma)
+    rows = np.arange(y.shape[0])
+    # With softmax p, d p_t / d z_j = p_t * (onehot_t[j] - p[j]), so the
+    # logit gradient is (d FL / d p_t * p_t) * (onehot_t - p).
+    if gamma == 0:
+        # Cross-entropy: the factor is -1 everywhere (also at p_t = 1,
+        # where the general form below is set to 0), so grad = p - onehot_t.
+        grad = probs.copy()
+        grad[rows, y] -= 1.0
+    else:
+        u = 1.0 - p_t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = gamma * p_t * u ** (gamma - 1.0) * np.log(p_t) - modulation
+        # The factor's limit for p_t -> 1 is 0 for every gamma > 0.
+        grad = -probs
+        grad[rows, y] += 1.0
+        grad *= np.where(u > 0, factor, 0.0)[:, None]
+    if weights is not None:
+        losses = losses * weights
+        grad *= weights[:, None]
+    return float(losses.mean()), grad
 
 
-def sequence_loss(frames: np.ndarray, targets: np.ndarray, params: FocalParams,
+def sequence_loss(frames: np.ndarray, targets: np.ndarray, gamma: float,
                   class_weight_vector: np.ndarray | None = None) -> float:
     """Class-weight-scaled mean focal loss over a frame sequence.
 
@@ -156,11 +122,9 @@ def sequence_loss(frames: np.ndarray, targets: np.ndarray, params: FocalParams,
         Per-frame probability rows, each summing to 1 within 1e-9.
     targets : int array of shape (n_frames,)
         True class index per frame.
-    params : FocalParams
+    gamma : modulation exponent, >= 0
     class_weight_vector : optional per-class weight array
-        Already aligned with the probability columns; takes precedence
-        over ``params.class_weights`` (which is keyed by class name and
-        must then be resolved by the caller).
+        Aligned with the probability columns.
 
     Returns
     -------
@@ -182,13 +146,10 @@ def sequence_loss(frames: np.ndarray, targets: np.ndarray, params: FocalParams,
     if np.abs(sums - 1.0).max() > 1e-9:
         worst = int(np.abs(sums - 1.0).argmax())
         raise ValueError(f"frame {worst} probabilities sum to {sums[worst]}, not 1")
+    if probs[np.arange(probs.shape[0]), idx].max() > 1.0 + 1e-9:
+        raise ValueError("true-class probability exceeds 1")
 
-    p_t = probs[np.arange(probs.shape[0]), idx]
-    low = p_t < params.prob_floor
-    if low.any():
-        _note_clamps(low.sum())
-    p_t = np.clip(p_t, params.prob_floor, 1.0)
-    losses = (1.0 - p_t) ** params.gamma * -np.log(p_t)
+    losses = _frame_losses(probs, idx, gamma)[2]
     if class_weight_vector is not None:
         losses = losses * np.asarray(class_weight_vector, dtype=float)[idx]
     return float(losses.mean())

@@ -16,6 +16,7 @@ vocabulary reduction recovers the plain chord class.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -121,6 +122,11 @@ class TrainParams:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.patience is not None and self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        for cls, w in (self.class_weights or {}).items():
+            if not (w >= 0 and math.isfinite(w)):
+                raise ValueError(f"class weight for {cls!r} must be finite and >= 0, got {w}")
 
     def to_dict(self) -> dict:
         return {
@@ -264,7 +270,6 @@ def train(
     x = np.hstack([features, np.ones((features.shape[0], 1))])
     y = np.concatenate([frame_targets(track, labels, classes, vocabulary) for track, labels in corpus])
     n = x.shape[0]
-    rows = np.arange(n)
     wvec = _class_weight_vector(classes, params.class_weights, vocabulary)
     frame_w = wvec[y] if wvec is not None else None
 
@@ -277,11 +282,10 @@ def train(
         )
 
     gamma = params.gamma if params.loss == "focal" else 0.0
-    loss_params = focal.FocalParams(gamma=gamma)
 
     def batch_loss(weights: np.ndarray, bx: np.ndarray, by: np.ndarray) -> float:
         probs = _softmax(bx @ weights.T)
-        return focal.sequence_loss(probs, by, loss_params, class_weight_vector=wvec)
+        return focal.sequence_loss(probs, by, gamma, class_weight_vector=wvec)
 
     w = model.weights
     train_losses: list[float] = []
@@ -294,17 +298,8 @@ def train(
 
     for epoch in range(params.epochs):
         probs = _softmax(x @ w.T)
-        train_losses.append(focal.sequence_loss(probs, y, loss_params, class_weight_vector=wvec))
-        if params.loss == "cross_entropy":
-            grad = probs.copy()
-            grad[rows, y] -= 1.0
-        else:
-            p_t = np.clip(probs[rows, y], loss_params.prob_floor, 1.0)
-            grad = -probs
-            grad[rows, y] += 1.0
-            grad *= focal.focal_scalars(p_t, gamma)[:, None]
-        if frame_w is not None:
-            grad *= frame_w[:, None]
+        loss, grad = focal.loss_and_logit_grad(probs, y, gamma, frame_w)
+        train_losses.append(loss)
         w = w - params.learning_rate * (grad.T @ x) / n
         epochs_run = epoch + 1
 

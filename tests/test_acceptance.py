@@ -15,7 +15,7 @@ from chordbalance import cli
 from chordbalance.annotations import Interval, TimedLabelSequence, read_lab_file, write_lab_file
 from chordbalance.augment import AugmentSpec, pitch_shift
 from chordbalance.chords import label_to_string, map_to_class, parse_chord_label
-from chordbalance.focal import focal_loss, focal_loss_grad
+from chordbalance.focal import loss_and_logit_grad
 from chordbalance.metrics import TrackPair, compute_report, csr, type_distribution
 from chordbalance.pipeline import ExperimentConfig, run_experiment
 from chordbalance.selection import (
@@ -110,25 +110,31 @@ def test_quality_average_is_unweighted_mean(capsys):
 
 
 def test_focal_matches_cross_entropy_and_finite_differences(capsys):
+    # Both checks run the batch objective the trainer uses, one frame at a time.
     started = time.perf_counter()
-    ce_worst = max(
-        abs(focal_loss(p, 0.0) - (-np.log(p))) for p in np.geomspace(1e-6, 1.0, 500)
-    )
+    ce_worst = 0.0
+    for p in np.geomspace(1e-6, 1.0, 500):
+        loss, grad = loss_and_logit_grad(np.array([[p, 1.0 - p]]), np.array([0]), 0.0)
+        ce_grad = np.array([p - 1.0, 1.0 - p])
+        ce_worst = max(ce_worst, abs(loss - (-np.log(p))), float(np.abs(grad[0] - ce_grad).max()))
     rng = np.random.default_rng(404)
     fd_worst = 0.0
     for gamma in (0.0, 1.0, 2.0, 5.0):
         for _ in range(250):
             n = int(rng.integers(5, 13))
             logits = rng.normal(0.0, 1.0, n)
-            target = int(rng.integers(n))
+            target = np.array([int(rng.integers(n))])
 
-            def loss_of(z):
+            def probs_of(z):
                 shifted = z - z.max()
                 p = np.exp(shifted)
                 p /= p.sum()
-                return focal_loss(float(p[target]), gamma)
+                return p[None, :]
 
-            analytic = focal_loss_grad(logits, target, gamma)
+            def loss_of(z):
+                return loss_and_logit_grad(probs_of(z), target, gamma)[0]
+
+            analytic = loss_and_logit_grad(probs_of(logits), target, gamma)[1][0]
             numeric = fd_gradient(loss_of, logits)
             scale = max(float(np.linalg.norm(analytic)), 1e-6)
             fd_worst = max(fd_worst, float(np.linalg.norm(analytic - numeric)) / scale)

@@ -297,6 +297,7 @@ class TestRunAndCompare:
         assert code == cli.EXIT_OK
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
+        assert manifest["config"]["augment"]["seed"] == 99
 
     def test_run_missing_corpus(self, capsys, tmp_path, experiment_config):
         raw = json.loads(experiment_config.read_text())

@@ -6,82 +6,93 @@ import numpy as np
 import pytest
 
 from chordbalance.focal import (
-    GAMMA_PRESETS,
     PROB_FLOOR,
-    FocalParams,
     clamp_count,
-    focal_loss,
-    focal_loss_grad,
-    focal_scalars,
+    loss_and_logit_grad,
     reset_clamp_count,
     sequence_loss,
 )
+from chordbalance.student import TrainParams
 
 from oracles import fd_gradient
 
 GAMMAS = (0.0, 1.0, 2.0, 5.0)
 
 
+def softmax(z):
+    p = np.exp(z - z.max(axis=-1, keepdims=True))
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def frame_loss(p_t, gamma):
+    """Loss of one two-class frame whose true class has probability ``p_t``."""
+    return loss_and_logit_grad(np.array([[p_t, 1.0 - p_t]]), np.array([0]), gamma)[0]
+
+
+def frame_grad(logits, target, gamma):
+    """Logit gradient of one frame's loss."""
+    return loss_and_logit_grad(softmax(logits)[None, :], np.array([target]), gamma)[1][0]
+
+
 class TestFocalLoss:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_perfect_prediction_is_free(self, gamma):
-        assert focal_loss(1.0, gamma) == 0.0
+        assert frame_loss(1.0, gamma) == 0.0
 
     def test_gamma_zero_is_cross_entropy(self):
-        assert focal_loss(0.5, 0.0) == pytest.approx(math.log(2), rel=1e-12)
+        assert frame_loss(0.5, 0.0) == pytest.approx(math.log(2), rel=1e-12)
         for p in np.geomspace(1e-6, 1.0, 200):
-            assert abs(focal_loss(float(p), 0.0) - (-math.log(p))) <= 1e-12
+            assert abs(frame_loss(float(p), 0.0) - (-math.log(p))) <= 1e-12
 
     def test_modulated_value(self):
         # (1 - 0.9)^2 * (-ln 0.9)
         expected = 0.1**2 * -math.log(0.9)
-        assert focal_loss(0.9, 2.0) == pytest.approx(expected, rel=1e-12)
-        assert focal_loss(0.9, 2.0) == pytest.approx(1.0536e-3, rel=1e-3)
+        assert frame_loss(0.9, 2.0) == pytest.approx(expected, rel=1e-12)
+        assert frame_loss(0.9, 2.0) == pytest.approx(1.0536e-3, rel=1e-3)
 
     def test_monotone_decreasing_in_confidence(self):
         for gamma in GAMMAS:
             ps = np.linspace(0.01, 0.999, 150)
-            losses = [focal_loss(float(p), gamma) for p in ps]
+            losses = [frame_loss(float(p), gamma) for p in ps]
             assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_higher_gamma_shrinks_loss(self):
         for p in np.linspace(0.01, 0.99, 50):
-            assert focal_loss(float(p), 5.0) < focal_loss(float(p), 2.0) < focal_loss(float(p), 0.0)
+            assert frame_loss(float(p), 5.0) < frame_loss(float(p), 2.0) < frame_loss(float(p), 0.0)
 
     def test_nonpositive_probability_clamped_and_counted(self):
         reset_clamp_count()
-        value = focal_loss(0.0, 0.0)
+        value = frame_loss(0.0, 0.0)
         assert value == pytest.approx(-math.log(PROB_FLOOR), rel=1e-12)
-        assert math.isfinite(focal_loss(-0.25, 2.0))
+        assert math.isfinite(frame_loss(-0.25, 2.0))
         assert clamp_count() == 2
         reset_clamp_count()
         assert clamp_count() == 0
 
     def test_rejects_probability_above_one(self):
-        with pytest.raises(ValueError):
-            focal_loss(1.5, 2.0)
-
-    def test_presets(self):
-        assert GAMMA_PRESETS == (1.0, 2.0, 5.0)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            sequence_loss(np.array([[1.5, -0.5]]), np.array([0]), 2.0)
 
 
 class TestFocalParams:
+    """Loss settings, validated by TrainParams where they enter."""
+
     def test_defaults(self):
-        params = FocalParams()
+        params = TrainParams()
         assert params.gamma == 2.0
         assert params.class_weights is None
-        assert params.prob_floor == PROB_FLOOR
+        assert PROB_FLOOR == 1e-12
 
     @pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_gamma(self, gamma):
-        with pytest.raises(ValueError):
-            FocalParams(gamma=gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            TrainParams(loss="focal", gamma=gamma)
 
-    def test_rejects_bad_floor_and_weights(self):
-        with pytest.raises(ValueError):
-            FocalParams(prob_floor=0.0)
-        with pytest.raises(ValueError):
-            FocalParams(class_weights={"maj": -1.0})
+    def test_rejects_bad_class_weights(self):
+        for weight in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="class weight"):
+                TrainParams(class_weights={"maj": 1.0, "dim": weight})
+        assert TrainParams(class_weights={"maj": 0.0, "dim": 8.0}).class_weights["dim"] == 8.0
 
 
 class TestGradient:
@@ -90,15 +101,13 @@ class TestGradient:
         for _ in range(20):
             z = rng.normal(0, 2, 11)
             target = int(rng.integers(11))
-            p = np.exp(z - z.max())
-            p /= p.sum()
             onehot = np.zeros(11)
             onehot[target] = 1.0
-            np.testing.assert_allclose(focal_loss_grad(z, target, 0.0), p - onehot, atol=1e-12)
+            np.testing.assert_allclose(frame_grad(z, target, 0.0), softmax(z) - onehot, atol=1e-12)
 
     def test_vanishes_at_confident_correct(self):
         z = np.array([30.0, 0.0, 0.0])
-        grad = focal_loss_grad(z, 0, 2.0)
+        grad = frame_grad(z, 0, 2.0)
         assert np.abs(grad).max() < 1e-10
 
     @pytest.mark.parametrize("gamma", GAMMAS)
@@ -109,57 +118,83 @@ class TestGradient:
             target = int(rng.integers(7))
 
             def loss_of(logits):
-                p = np.exp(logits - logits.max())
-                p /= p.sum()
-                return focal_loss(float(p[target]), gamma)
+                return loss_and_logit_grad(softmax(logits)[None, :], np.array([target]), gamma)[0]
 
-            analytic = focal_loss_grad(z, target, gamma)
+            analytic = frame_grad(z, target, gamma)
             numeric = fd_gradient(loss_of, z)
             denom = max(float(np.linalg.norm(numeric)), 1e-8)
             assert float(np.linalg.norm(analytic - numeric)) / denom < 1e-5
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            focal_loss_grad(np.zeros((2, 2)), 0, 2.0)
-        with pytest.raises(ValueError):
-            focal_loss_grad(np.zeros(3), 3, 2.0)
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_weighted_batch_matches_finite_differences(self, gamma):
+        rng = np.random.default_rng(31)
+        n, k = 6, 5
+        z = rng.normal(0.0, 1.5, (n, k))
+        y = rng.integers(k, size=n)
+        weights = rng.uniform(0.2, 3.0, n)
+        z[0, y[0]] = z[0].max() - 40.0  # p_t ~ 1e-18, below the floor
+
+        def loss_of(flat):
+            return loss_and_logit_grad(softmax(flat.reshape(n, k)), y, gamma, weights)[0]
+
+        reset_clamp_count()
+        probs = softmax(z)
+        _, grad = loss_and_logit_grad(probs, y, gamma, weights)
+        assert clamp_count() == 1
+        analytic = grad / n
+        numeric = fd_gradient(loss_of, z.ravel()).reshape(n, k)
+        # The clamped frame's loss is flat at the floor, so its finite
+        # difference is 0; its analytic row keeps the pull of the
+        # unclamped loss toward the true class.
+        assert np.all(numeric[0] == 0.0)
+        pull = weights[0] * (probs[0] - np.eye(k)[y[0]]) / n
+        np.testing.assert_allclose(analytic[0], pull, rtol=1e-9)
+        rel = np.linalg.norm(analytic[1:] - numeric[1:]) / np.linalg.norm(numeric[1:])
+        assert rel < 1e-5
 
 
 class TestFocalScalars:
+    """The per-frame factor ``p_t * d FL / d p_t`` that scales ``onehot - p``."""
+
     def test_gamma_zero_is_constant(self):
-        np.testing.assert_array_equal(focal_scalars(np.array([0.1, 0.5, 1.0]), 0.0), -1.0)
+        # cross-entropy: the target entry of the gradient is p_t - 1
+        for p in (0.1, 0.5, 0.9):
+            grad = loss_and_logit_grad(np.array([[p, 1.0 - p]]), np.array([0]), 0.0)[1]
+            assert grad[0, 0] / (1.0 - p) == pytest.approx(-1.0, rel=1e-12)
 
     def test_zero_at_certainty(self):
-        assert focal_scalars(np.array([1.0]), 2.0)[0] == 0.0
-        assert focal_scalars(np.array([1.0]), 5.0)[0] == 0.0
+        for gamma in (2.0, 5.0):
+            grad = loss_and_logit_grad(np.array([[1.0, 0.0]]), np.array([0]), gamma)[1]
+            assert np.all(grad == 0.0)
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0, 5.0])
     def test_matches_scaled_derivative(self, gamma):
         # factor is defined as p * dFL/dp; check against central differences
         h = 1e-7
         for p in np.linspace(0.05, 0.95, 25):
-            numeric = (focal_loss(p + h, gamma) - focal_loss(p - h, gamma)) / (2 * h)
-            factor = focal_scalars(np.array([p]), gamma)[0]
+            numeric = (frame_loss(p + h, gamma) - frame_loss(p - h, gamma)) / (2 * h)
+            grad = loss_and_logit_grad(np.array([[p, 1.0 - p]]), np.array([0]), gamma)[1]
+            factor = grad[0, 0] / (1.0 - p)
             assert factor == pytest.approx(p * numeric, rel=1e-5)
 
 
 class TestSequenceLoss:
     def test_perfect_frames(self):
         frames = np.eye(4)[[0, 2, 3]]
-        assert sequence_loss(frames, np.array([0, 2, 3]), FocalParams(gamma=2.0)) == 0.0
+        assert sequence_loss(frames, np.array([0, 2, 3]), 2.0) == 0.0
 
     def test_gamma_zero_is_mean_cross_entropy(self):
         rng = np.random.default_rng(23)
         frames = rng.dirichlet(np.ones(5), size=12)
         targets = rng.integers(5, size=12)
-        got = sequence_loss(frames, targets, FocalParams(gamma=0.0))
+        got = sequence_loss(frames, targets, 0.0)
         expected = float(-np.log(frames[np.arange(12), targets]).mean())
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_two_frame_example(self):
         frames = np.array([[0.5, 0.5], [0.9, 0.1]])
         targets = np.array([0, 0])
-        got = sequence_loss(frames, targets, FocalParams(gamma=2.0))
+        got = sequence_loss(frames, targets, 2.0)
         expected = (0.25 * math.log(2) + 0.01 * -math.log(0.9)) / 2
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.08717, abs=5e-6)
@@ -169,21 +204,21 @@ class TestSequenceLoss:
         frames = rng.dirichlet(np.ones(6), size=40)
         targets = rng.integers(6, size=40)
         order = rng.permutation(40)
-        base = sequence_loss(frames, targets, FocalParams(gamma=2.0))
-        shuffled = sequence_loss(frames[order], targets[order], FocalParams(gamma=2.0))
+        base = sequence_loss(frames, targets, 2.0)
+        shuffled = sequence_loss(frames[order], targets[order], 2.0)
         assert shuffled == pytest.approx(base, rel=1e-12)
 
     def test_class_weights_scale_frames(self):
         frames = np.array([[0.5, 0.5], [0.5, 0.5]])
         targets = np.array([0, 1])
         weights = np.array([2.0, 0.0])
-        got = sequence_loss(frames, targets, FocalParams(gamma=0.0), class_weight_vector=weights)
+        got = sequence_loss(frames, targets, 0.0, class_weight_vector=weights)
         assert got == pytest.approx(math.log(2), rel=1e-12)  # (2*ln2 + 0)/2
 
     def test_clamps_zero_probability_frames(self):
         reset_clamp_count()
         frames = np.array([[0.0, 1.0]])
-        sequence_loss(frames, np.array([0]), FocalParams(gamma=0.0))
+        sequence_loss(frames, np.array([0]), 0.0)
         assert clamp_count() == 1
         reset_clamp_count()
 
@@ -199,4 +234,4 @@ class TestSequenceLoss:
     )
     def test_rejects_malformed_input(self, frames, targets):
         with pytest.raises(ValueError):
-            sequence_loss(frames, targets, FocalParams(gamma=2.0))
+            sequence_loss(frames, targets, 2.0)

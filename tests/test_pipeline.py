@@ -84,6 +84,12 @@ class TestConfig:
             {"loss": "hinge"},
             {"min_length": 0.0},
             {"learning_rate": 0.0},
+            {"gamma": -1.0},
+            {"gamma": float("nan")},
+            {"gamma": float("inf")},
+            {"class_weights": {"hdim7": -8.0}},
+            {"class_weights": {"dim": float("inf")}},
+            {"class_weights": {"maj": float("nan")}},
         ],
     )
     def test_validation(self, corpora, overrides):
