@@ -11,11 +11,9 @@ from .annotations import (
     Interval,
     LabFormatError,
     TimedLabelSequence,
-    matched_duration,
     merge_intervals,
     read_lab,
     read_lab_file,
-    reference_duration,
     write_lab,
     write_lab_file,
 )

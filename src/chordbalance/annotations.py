@@ -26,12 +26,10 @@ __all__ = [
     "Interval",
     "LabFormatError",
     "TimedLabelSequence",
-    "matched_duration",
     "merge_intervals",
     "per_class_overlap",
     "read_lab",
     "read_lab_file",
-    "reference_duration",
     "write_lab",
     "write_lab_file",
 ]
@@ -210,18 +208,3 @@ def per_class_overlap(
             j += 1
     return {cls: (totals[cls], matched.get(cls, 0.0)) for cls in totals}
 
-
-def matched_duration(
-    pred: TimedLabelSequence,
-    ref: TimedLabelSequence,
-    vocabulary: Sequence[str] = CHORD_CLASSES,
-) -> float:
-    """Seconds on which prediction and reference agree at class level."""
-    return sum(m for _, m in per_class_overlap(pred, ref, vocabulary).values())
-
-
-def reference_duration(ref: TimedLabelSequence, vocabulary: Sequence[str] = CHORD_CLASSES) -> float:
-    """In-vocabulary reference duration (X segments excluded, N counts)."""
-    return sum(
-        iv.duration for iv, lab in ref.segments if map_to_class(lab, vocabulary) != "X"
-    )

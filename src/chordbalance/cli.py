@@ -116,10 +116,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_select(args) -> int:
     raw = json.loads(Path(args.config).read_text("utf-8"))
-    try:
-        durations = {str(k): float(v) for k, v in raw.pop("track_durations").items()}
-    except KeyError:
-        raise ValueError("selection config needs a 'track_durations' object") from None
+    missing = [key for key in ("track_durations", "min_length", "labeled_total") if key not in raw]
+    if missing:
+        raise ValueError(f"selection config lacks required fields: {missing}")
+    durations = {str(k): float(v) for k, v in raw.pop("track_durations").items()}
     config = SelectionConfig(
         min_length=raw["min_length"],
         labeled_total=raw["labeled_total"],

@@ -24,7 +24,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .annotations import TimedLabelSequence, per_class_overlap
 from .chords import CHORD_CLASSES, map_to_class
@@ -69,22 +69,10 @@ class TrackPair:
 
 @dataclass
 class PerTypeLedger:
-    """Reference and matched seconds accumulated per chord class.
-
-    Merging ledgers is associative and commutative, so per-track ledgers
-    can be combined in any grouping without changing the result.
-    """
+    """Reference and matched seconds accumulated per chord class."""
 
     totals: dict[str, float] = field(default_factory=dict)
     matched: dict[str, float] = field(default_factory=dict)
-
-    def merge(self, other: "PerTypeLedger") -> "PerTypeLedger":
-        out = PerTypeLedger(dict(self.totals), dict(self.matched))
-        for cls, dur in other.totals.items():
-            out.totals[cls] = out.totals.get(cls, 0.0) + dur
-        for cls, dur in other.matched.items():
-            out.matched[cls] = out.matched.get(cls, 0.0) + dur
-        return out
 
     def scores(self) -> dict[str, float]:
         """Per-class score for every class with reference time."""
@@ -94,12 +82,25 @@ class PerTypeLedger:
             if dur > 0
         }
 
+    def recall(self) -> float:
+        """Matched over reference seconds, summed over all classes."""
+        total = sum(self.totals.values())
+        if total <= 0:
+            raise ValueError("no scoreable reference duration in corpus")
+        return sum(self.matched.values()) / total
 
-def _pair_ledger(pair: TrackPair, vocabulary: Sequence[str]) -> PerTypeLedger:
+
+def wcsr_per_type(pairs: Iterable[TrackPair], vocabulary: Sequence[str] = CHORD_CLASSES) -> PerTypeLedger:
+    """Accumulate the per-class ledger over a corpus of track pairs.
+
+    Every corpus score reads this ledger; it is the one caller of
+    :func:`per_class_overlap`.
+    """
     ledger = PerTypeLedger()
-    for cls, (total, match) in per_class_overlap(pair.pred, pair.ref, vocabulary).items():
-        ledger.totals[cls] = total
-        ledger.matched[cls] = match
+    for pair in pairs:
+        for cls, (total, match) in per_class_overlap(pair.pred, pair.ref, vocabulary).items():
+            ledger.totals[cls] = ledger.totals.get(cls, 0.0) + total
+            ledger.matched[cls] = ledger.matched.get(cls, 0.0) + match
     return ledger
 
 
@@ -111,32 +112,16 @@ def csr(pair: TrackPair, vocabulary: Sequence[str] = CHORD_CLASSES) -> float:
     ValueError
         If the reference has no in-vocabulary duration.
     """
-    ledger = _pair_ledger(pair, vocabulary)
-    total = sum(ledger.totals.values())
-    if total <= 0:
-        raise ValueError(f"empty reference for track {pair.ref.track_id!r}")
-    return sum(ledger.matched.values()) / total
+    ledger = wcsr_per_type([pair], vocabulary)
+    try:
+        return ledger.recall()
+    except ValueError:
+        raise ValueError(f"empty reference for track {pair.ref.track_id!r}") from None
 
 
 def wcsr(pairs: Iterable[TrackPair], vocabulary: Sequence[str] = CHORD_CLASSES) -> float:
     """Reference-duration weighted CSR over a corpus of track pairs."""
-    total = 0.0
-    match = 0.0
-    for pair in pairs:
-        ledger = _pair_ledger(pair, vocabulary)
-        total += sum(ledger.totals.values())
-        match += sum(ledger.matched.values())
-    if total <= 0:
-        raise ValueError("no scoreable reference duration in corpus")
-    return match / total
-
-
-def wcsr_per_type(pairs: Iterable[TrackPair], vocabulary: Sequence[str] = CHORD_CLASSES) -> PerTypeLedger:
-    """Accumulate the per-class ledger over a corpus of track pairs."""
-    ledger = PerTypeLedger()
-    for pair in pairs:
-        ledger = ledger.merge(_pair_ledger(pair, vocabulary))
-    return ledger
+    return wcsr_per_type(pairs, vocabulary).recall()
 
 
 def acqa(ledger: PerTypeLedger) -> float:
@@ -211,16 +196,11 @@ def compute_report(
 ) -> MetricsReport:
     """Evaluate a corpus of track pairs into a single report."""
     ledger = wcsr_per_type(pairs, vocabulary)
-    total = sum(ledger.totals.values())
-    if total <= 0:
-        raise ValueError("no scoreable reference duration in corpus")
-    scores = ledger.scores()
-    distribution = type_distribution((pair.ref for pair in pairs), vocabulary)
     return MetricsReport(
-        wcsr=sum(ledger.matched.values()) / total,
-        acqa=sum(scores.values()) / len(scores),
-        per_type=scores,
-        distribution=distribution,
+        wcsr=ledger.recall(),
+        acqa=acqa(ledger),
+        per_type=ledger.scores(),
+        distribution=type_distribution((pair.ref for pair in pairs), vocabulary),
     )
 
 

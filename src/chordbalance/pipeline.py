@@ -19,9 +19,9 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -76,7 +76,9 @@ class ExperimentConfig:
     min_length: float = 8.0
     confidence_threshold: float = 0.0
     rare_classes: tuple[str, ...] = DEFAULT_RARE_CLASSES
-    augment: AugmentSpec = field(default_factory=lambda: AugmentSpec((-5, 6), 0.05))
+    # An AugmentSpec or a mapping of its fields.  The one default for a
+    # missing field: shifts in [-5, 6], noise 0.05 and the run seed.
+    augment: AugmentSpec | Mapping | None = None
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
@@ -86,6 +88,13 @@ class ExperimentConfig:
         if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
             raise ValueError(f"smoothing window must be odd and >= 1, got {self.smoothing_window}")
         self.rare_classes = tuple(self.rare_classes)
+        if not isinstance(self.augment, AugmentSpec):
+            aug = self.augment or {}
+            self.augment = AugmentSpec(
+                tuple(aug.get("semitone_range", (-5, 6))),
+                aug.get("noise_sigma", 0.05),
+                aug.get("seed", self.seed),
+            )
         # Delegate the rest to the dataclasses that own the fields.
         SelectionConfig(self.min_length, 0.0, self.rare_classes, self.confidence_threshold)
         TrainParams(self.learning_rate, self.epochs, self.seed, self.loss, self.gamma,
@@ -98,15 +107,10 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
-        if "augment" in raw:
-            aug = raw["augment"]
-            raw["augment"] = AugmentSpec(
-                tuple(aug.get("semitone_range", (-5, 6))),
-                aug.get("noise_sigma", 0.0),
-                aug.get("seed", raw.get("seed", 0)),
-            )
-        if "rare_classes" in raw:
-            raw["rare_classes"] = tuple(raw["rare_classes"])
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING and f.name not in raw]
+        if missing:
+            raise ValueError(f"experiment config lacks required fields: {missing}")
         return cls(**raw)
 
     def to_dict(self) -> dict:

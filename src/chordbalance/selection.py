@@ -106,9 +106,6 @@ class SelectionReport:
     def total_selected(self) -> float:
         return sum(sel.selected_duration for sel in self.per_class.values())
 
-    def any_shortfall(self) -> bool:
-        return any(sel.shortfall for sel in self.per_class.values())
-
 
 @dataclass
 class ExcerptDataset:

@@ -30,7 +30,6 @@ from .chords import (
     CHORD_CLASSES,
     PITCH_NAMES,
     REPRESENTATIVE_QUALITY,
-    label_to_string,
     map_to_class,
     parse_chord_label,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "TrainParams",
     "TrainResult",
     "default_model_classes",
-    "frame_accuracy",
     "frame_targets",
     "init_model",
     "load_model",
@@ -356,24 +354,6 @@ def predict_segments(
         confidences.append(float(np.clip(probs[a:b, cls].mean(), 0.0, 1.0)))
     sequence = TimedLabelSequence(track.track_id, tuple(segments))
     return PredictedSegments(sequence, tuple(confidences))
-
-
-def frame_accuracy(
-    model: ClassifierModel,
-    corpus: Sequence[tuple[FeatureTrack, TimedLabelSequence]],
-    vocabulary: Sequence[str] = CHORD_CLASSES,
-) -> float:
-    """Fraction of frames whose raw argmax matches the aligned target."""
-    hits = 0
-    total = 0
-    for track, labels in corpus:
-        y = frame_targets(track, labels, model.classes, vocabulary)
-        pred = np.argmax(model.logits(track.frames), axis=1)
-        hits += int((pred == y).sum())
-        total += len(y)
-    if total == 0:
-        raise ValueError("no frames to score")
-    return hits / total
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:

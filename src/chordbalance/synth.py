@@ -35,7 +35,6 @@ __all__ = [
     "chord_template",
     "generate_corpus",
     "load_corpus",
-    "nearest_template",
     "no_chord_template",
     "save_corpus",
     "spec_from_dict",
@@ -83,20 +82,6 @@ def chord_template(chord_class: str, root: int) -> np.ndarray:
 def no_chord_template() -> np.ndarray:
     """Uniform low-energy vector standing in for untuned/silent audio."""
     return np.full(N_CHROMA, _NO_CHORD_LEVEL)
-
-
-def nearest_template(frame: np.ndarray) -> tuple[str, int | None]:
-    """(class, root) of the Euclidean-nearest template; root None for N."""
-    frame = np.asarray(frame, dtype=float)
-    best: tuple[str, int | None] = ("N", None)
-    best_dist = float(np.sum((frame - no_chord_template()) ** 2))
-    for cls in CHORD_CLASS_INTERVALS:
-        for root in range(N_CHROMA):
-            dist = float(np.sum((frame - chord_template(cls, root)) ** 2))
-            if dist < best_dist:
-                best_dist = dist
-                best = (cls, root)
-    return best
 
 
 @dataclass(frozen=True)

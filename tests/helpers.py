@@ -7,9 +7,11 @@ distance of the 10 ms oracle's sample midpoints.
 
 from __future__ import annotations
 
-from chordbalance.annotations import Interval, TimedLabelSequence
-from chordbalance.chords import NO_CHORD, REPRESENTATIVE_QUALITY, UNKNOWN, chord
-from chordbalance.student import PredictedSegments
+import numpy as np
+
+from chordbalance.annotations import Interval, TimedLabelSequence, per_class_overlap
+from chordbalance.chords import CHORD_CLASSES, NO_CHORD, REPRESENTATIVE_QUALITY, UNKNOWN, chord, map_to_class
+from chordbalance.student import PredictedSegments, frame_targets
 
 SCOREABLE = ("maj", "min", "7", "min7", "maj7", "dim", "hdim7", "aug", "sus", "N")
 
@@ -64,3 +66,27 @@ def pseudo_pool(rng, n_tracks, length_s, classes=SCOREABLE):
         pool.append(PredictedSegments(seq, confs))
         durations[tid] = length_s
     return pool, durations
+
+
+def matched_duration(pred, ref, vocabulary=CHORD_CLASSES):
+    """Seconds on which prediction and reference agree at class level."""
+    return sum(m for _, m in per_class_overlap(pred, ref, vocabulary).values())
+
+
+def reference_duration(ref, vocabulary=CHORD_CLASSES):
+    """In-vocabulary reference duration (X segments excluded, N counts)."""
+    return sum(iv.duration for iv, lab in ref.segments if map_to_class(lab, vocabulary) != "X")
+
+
+def frame_accuracy(model, corpus, vocabulary=CHORD_CLASSES):
+    """Fraction of frames whose raw argmax matches the aligned target."""
+    hits = 0
+    total = 0
+    for track, labels in corpus:
+        y = frame_targets(track, labels, model.classes, vocabulary)
+        pred = np.argmax(model.logits(track.frames), axis=1)
+        hits += int((pred == y).sum())
+        total += len(y)
+    if total == 0:
+        raise ValueError("no frames to score")
+    return hits / total

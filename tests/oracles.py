@@ -3,9 +3,10 @@
 Nothing in this module may reuse the code paths it is meant to check:
 the metric oracle samples time on a fixed 10 ms grid instead of sweeping
 segment boundaries, and the gradient oracle uses central finite
-differences instead of the analytic formula.  Label-to-class reduction
-is shared with the library on purpose; the duration arithmetic is what
-gets verified here.
+differences instead of the analytic formula, and the template oracle
+decodes a chroma frame by brute-force search over every rooted template.
+Label-to-class reduction is shared with the library on purpose; the
+duration arithmetic is what gets verified here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from chordbalance.chords import CHORD_CLASSES, map_to_class
+from chordbalance.student import N_CHROMA
+from chordbalance.synth import CHORD_CLASS_INTERVALS, chord_template, no_chord_template
 
 STEP = 0.01
 
@@ -95,3 +98,17 @@ def fd_gradient(f, x, h=1e-5):
         bump[i] = h
         grad[i] = (f(x + bump) - f(x - bump)) / (2.0 * h)
     return grad
+
+
+def nearest_template(frame):
+    """(class, root) of the Euclidean-nearest template; root None for N."""
+    frame = np.asarray(frame, dtype=float)
+    best = ("N", None)
+    best_dist = float(np.sum((frame - no_chord_template()) ** 2))
+    for cls in CHORD_CLASS_INTERVALS:
+        for root in range(N_CHROMA):
+            dist = float(np.sum((frame - chord_template(cls, root)) ** 2))
+            if dist < best_dist:
+                best_dist = dist
+                best = (cls, root)
+    return best

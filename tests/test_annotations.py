@@ -7,18 +7,16 @@ from chordbalance.annotations import (
     Interval,
     LabFormatError,
     TimedLabelSequence,
-    matched_duration,
     merge_intervals,
     per_class_overlap,
     read_lab,
     read_lab_file,
-    reference_duration,
     write_lab,
     write_lab_file,
 )
 from chordbalance.chords import NO_CHORD, UNKNOWN, chord, parse_chord_label
 
-from helpers import SCOREABLE, grid_sequence, random_pair
+from helpers import SCOREABLE, grid_sequence, matched_duration, random_pair, reference_duration
 from oracles import sampled_matched
 
 

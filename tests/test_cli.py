@@ -201,6 +201,15 @@ class TestSelect:
         assert code == cli.EXIT_DATA
         assert "track_durations" in err
 
+    def test_config_without_labeled_total(self, capsys, tmp_path, select_inputs):
+        jsonl, config = select_inputs
+        raw = json.loads(config.read_text())
+        del raw["labeled_total"]
+        config.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "select", "--pseudolabels", str(jsonl), "--config", str(config))
+        assert code == cli.EXIT_DATA
+        assert "lacks required fields: ['labeled_total']" in err
+
 
 class TestSynth:
     def spec_file(self, tmp_path, **overrides):
@@ -308,6 +317,16 @@ class TestRunAndCompare:
                                "run", "--config", str(bad))
         assert code == cli.EXIT_DATA
         assert "load-corpora" in err
+
+    def test_run_config_without_required_field(self, capsys, tmp_path, experiment_config):
+        raw = json.loads(experiment_config.read_text())
+        del raw["labeled_dir"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
+                               "run", "--config", str(bad))
+        assert code == cli.EXIT_DATA
+        assert "lacks required fields: ['labeled_dir']" in err
 
     def test_compare_two_runs(self, capsys, tmp_path, experiment_config):
         run_dirs = []

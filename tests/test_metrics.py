@@ -163,21 +163,6 @@ class TestPerType:
         for cls, score in scores.items():
             assert score == pytest.approx(oracle[cls], abs=1e-9)
 
-    def test_merge_is_commutative_and_associative(self):
-        rng = np.random.default_rng(37)
-        ledgers = [
-            wcsr_per_type([pair(*random_pair(rng, f"t{i}", 15.0))]) for i in range(3)
-        ]
-        a, b, c = ledgers
-        ab = a.merge(b)
-        ba = b.merge(a)
-        assert ab.totals == ba.totals and ab.matched == ba.matched
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        for cls in left.totals:
-            assert right.totals[cls] == pytest.approx(left.totals[cls], rel=1e-12)
-            assert right.matched.get(cls, 0.0) == pytest.approx(left.matched.get(cls, 0.0), rel=1e-12)
-
 
 class TestAcqa:
     def test_constant_mean(self):
@@ -270,11 +255,12 @@ class TestTypeDistribution:
 
 class TestReport:
     def test_compute_report_consistency(self):
+        # every entry point reads the same ledger, so they agree bit for bit
         rng = np.random.default_rng(47)
-        pairs = [pair(*random_pair(rng, f"t{i}", 25.0)) for i in range(5)]
+        pairs = [pair(*random_pair(rng, f"t{i}", 25.0)) for i in range(200)]
         report = compute_report(pairs)
-        assert report.wcsr == pytest.approx(wcsr(pairs), rel=1e-12)
-        assert report.acqa == pytest.approx(acqa(wcsr_per_type(pairs)), rel=1e-12)
+        assert wcsr(pairs) == report.wcsr
+        assert acqa(wcsr_per_type(pairs)) == report.acqa
         assert sum(report.distribution.values()) == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= report.wcsr <= 1.0 and 0.0 <= report.acqa <= 1.0
 

@@ -118,6 +118,19 @@ class TestConfig:
         config = ExperimentConfig.from_json(path)
         assert config.augment == AugmentSpec((-2, 2), 0.1, raw["seed"])
 
+    def test_missing_and_empty_augment_load_the_same_spec(self, corpora, tmp_path):
+        raw = make_config(corpora, seed=7).to_dict()
+        specs = []
+        for form in ("missing", "empty"):
+            if form == "missing":
+                del raw["augment"]
+            else:
+                raw["augment"] = {}
+            path = tmp_path / f"{form}.json"
+            path.write_text(json.dumps(raw), "utf-8")
+            specs.append(ExperimentConfig.from_json(path).augment)
+        assert specs[0] == specs[1] == AugmentSpec((-5, 6), 0.05, 7)
+
 
 class TestRun:
     def test_report_series_shape(self, finished_run):

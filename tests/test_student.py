@@ -11,7 +11,6 @@ from chordbalance.student import (
     PredictedSegments,
     TrainParams,
     default_model_classes,
-    frame_accuracy,
     frame_targets,
     init_model,
     load_model,
@@ -21,6 +20,8 @@ from chordbalance.student import (
     train,
 )
 from chordbalance.synth import CorpusSpec, generate_corpus
+
+from helpers import frame_accuracy
 
 
 def clean_corpus(n_tracks=6, seed=3):

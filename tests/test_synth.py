@@ -15,11 +15,12 @@ from chordbalance.synth import (
     chord_template,
     generate_corpus,
     load_corpus,
-    nearest_template,
     no_chord_template,
     save_corpus,
     spec_from_dict,
 )
+
+from oracles import nearest_template
 
 ALL_BUT_AUG = {
     "maj": 0.15, "min": 0.15, "7": 0.1, "min7": 0.1, "maj7": 0.1,
