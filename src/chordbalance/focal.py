@@ -72,7 +72,8 @@ def loss_and_logit_grad(
     Parameters
     ----------
     probs : array of shape (n_frames, n_classes)
-        Softmax probabilities of the logits; not validated.
+        Softmax probabilities of the logits; not validated.  Consumed:
+        the gradient is written into this array, which is returned.
     y : int array of shape (n_frames,)
         True class index per frame.
     gamma : modulation exponent, >= 0; 0 is cross-entropy
@@ -82,9 +83,10 @@ def loss_and_logit_grad(
     Returns
     -------
     (float, ndarray of shape (n_frames, n_classes))
-        ``mean(w * FL(p_t))`` and, row by row, the gradient of each
-        frame's weighted loss ``w * FL(p_t)`` with respect to its logits;
-        the gradient of the mean is that array divided by ``n_frames``.
+        ``mean(w * FL(p_t))`` and ``probs``, overwritten row by row with
+        the gradient of each frame's weighted loss ``w * FL(p_t)`` with
+        respect to its logits; the gradient of the mean is that array
+        divided by ``n_frames``.
         A frame clamped at the floor keeps, to about 1e-10, the gradient
         of its unclamped loss: its loss value is flat there, but its
         logits are still pulled toward the true class.
@@ -96,14 +98,14 @@ def loss_and_logit_grad(
     if gamma == 0:
         # Cross-entropy: the factor is -1 everywhere (also at p_t = 1,
         # where the general form below is set to 0), so grad = p - onehot_t.
-        grad = probs.copy()
+        grad = probs
         grad[rows, y] -= 1.0
     else:
         u = 1.0 - p_t
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = gamma * p_t * u ** (gamma - 1.0) * np.log(p_t) - modulation
         # The factor's limit for p_t -> 1 is 0 for every gamma > 0.
-        grad = -probs
+        grad = np.negative(probs, out=probs)
         grad[rows, y] += 1.0
         grad *= np.where(u > 0, factor, 0.0)[:, None]
     if weights is not None:

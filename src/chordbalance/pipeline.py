@@ -89,7 +89,12 @@ class ExperimentConfig:
             raise ValueError(f"smoothing window must be odd and >= 1, got {self.smoothing_window}")
         self.rare_classes = tuple(self.rare_classes)
         if not isinstance(self.augment, AugmentSpec):
-            aug = self.augment or {}
+            aug = {} if self.augment is None else self.augment
+            if not isinstance(aug, Mapping):
+                raise ValueError(f"augment must be a mapping of AugmentSpec fields, got {aug!r}")
+            unknown = set(aug) - set(AugmentSpec.__dataclass_fields__)
+            if unknown:
+                raise ValueError(f"unknown augment fields: {sorted(unknown)}")
             self.augment = AugmentSpec(
                 tuple(aug.get("semitone_range", (-5, 6))),
                 aug.get("noise_sigma", 0.05),

@@ -193,9 +193,11 @@ class PredictedSegments:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax computed in place: ``z`` is overwritten and returned."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def init_model(classes: Sequence[str], params: TrainParams) -> ClassifierModel:
@@ -221,17 +223,19 @@ def frame_targets(
     classes: Sequence[str],
     vocabulary: Sequence[str] = CHORD_CLASSES,
 ) -> np.ndarray:
-    """Target class index per frame; uncovered frames fall to N."""
+    """Target class index per frame; uncovered frames fall to N.
+
+    A frame belongs to the segment whose half-open span holds its
+    midpoint; segments are sorted and disjoint, so each one covers a
+    contiguous run of frames.
+    """
     index = {name: i for i, name in enumerate(classes)}
     n_index = index["N"]
     targets = np.full(len(track), n_index, dtype=int)
-    segs = labels.segments
-    si = 0
-    for fi, t in enumerate(track.frame_times()):
-        while si < len(segs) and segs[si][0].end <= t:
-            si += 1
-        if si < len(segs) and segs[si][0].start <= t:
-            targets[fi] = index.get(_model_class_of(segs[si][1], vocabulary), n_index)
+    times = track.frame_times()
+    for iv, label in labels.segments:
+        a, b = np.searchsorted(times, (iv.start, iv.end))
+        targets[a:b] = index.get(_model_class_of(label, vocabulary), n_index)
     return targets
 
 
@@ -278,11 +282,17 @@ def train(
         vy = np.concatenate(
             [frame_targets(track, labels, classes, vocabulary) for track, labels in validation]
         )
+        vbuf = np.empty((vx.shape[0], len(classes)))
 
     gamma = params.gamma if params.loss == "focal" else 0.0
+    # Logits, probabilities and gradient of every epoch share one buffer.
+    # x.T is laid out once: ``xT @ grad`` runs the step's product along its
+    # long axis and is bit-equal to ``grad.T @ x`` at one BLAS thread.
+    buf = np.empty((n, len(classes)))
+    xT = np.ascontiguousarray(x.T)
 
-    def batch_loss(weights: np.ndarray, bx: np.ndarray, by: np.ndarray) -> float:
-        probs = _softmax(bx @ weights.T)
+    def batch_loss(weights: np.ndarray, bx: np.ndarray, by: np.ndarray, out: np.ndarray) -> float:
+        probs = _softmax(np.matmul(bx, weights.T, out=out))
         return focal.sequence_loss(probs, by, gamma, class_weight_vector=wvec)
 
     w = model.weights
@@ -295,14 +305,14 @@ def train(
     epochs_run = 0
 
     for epoch in range(params.epochs):
-        probs = _softmax(x @ w.T)
+        probs = _softmax(np.matmul(x, w.T, out=buf))
         loss, grad = focal.loss_and_logit_grad(probs, y, gamma, frame_w)
         train_losses.append(loss)
-        w = w - params.learning_rate * (grad.T @ x) / n
+        w = w - params.learning_rate * (xT @ grad).T / n
         epochs_run = epoch + 1
 
         if use_val:
-            vloss = batch_loss(w, vx, vy)
+            vloss = batch_loss(w, vx, vy, vbuf)
             val_losses.append(vloss)
             if vloss < best_val:
                 best_val = vloss
@@ -318,7 +328,7 @@ def train(
         w = best_w
         epochs_run = best_epoch
     model = ClassifierModel(classes, w, params)
-    final_loss = batch_loss(w, x, y)
+    final_loss = batch_loss(w, x, y, buf)
     return TrainResult(model, final_loss, epochs_run, train_losses, val_losses)
 
 

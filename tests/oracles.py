@@ -5,16 +5,27 @@ the metric oracle samples time on a fixed 10 ms grid instead of sweeping
 segment boundaries, and the gradient oracle uses central finite
 differences instead of the analytic formula, and the template oracle
 decodes a chroma frame by brute-force search over every rooted template.
-Label-to-class reduction is shared with the library on purpose; the
-duration arithmetic is what gets verified here.
+The frame-target oracle walks the frames one at a time instead of
+slicing whole segments, and the trainer oracle allocates fresh arrays
+every epoch and takes the weight step as ``grad.T @ x``.
+Label-to-class reduction and the batch objective are shared with the
+library on purpose; the duration arithmetic, the frame assignment and
+the training loop are what gets verified here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from chordbalance import focal
 from chordbalance.chords import CHORD_CLASSES, map_to_class
-from chordbalance.student import N_CHROMA
+from chordbalance.student import (
+    N_CHROMA,
+    _class_weight_vector,
+    _model_class_of,
+    default_model_classes,
+    init_model,
+)
 from chordbalance.synth import CHORD_CLASS_INTERVALS, chord_template, no_chord_template
 
 STEP = 0.01
@@ -112,3 +123,68 @@ def nearest_template(frame):
                 best_dist = dist
                 best = (cls, root)
     return best
+
+
+def frame_targets(track, labels, classes, vocabulary=CHORD_CLASSES):
+    """Target class index per frame, assigning one frame midpoint at a time."""
+    index = {name: i for i, name in enumerate(classes)}
+    n_index = index["N"]
+    targets = np.full(len(track), n_index, dtype=int)
+    segs = labels.segments
+    si = 0
+    for fi, t in enumerate(track.frame_times()):
+        while si < len(segs) and segs[si][0].end <= t:
+            si += 1
+        if si < len(segs) and segs[si][0].start <= t:
+            targets[fi] = index.get(_model_class_of(segs[si][1], vocabulary), n_index)
+    return targets
+
+
+def _softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def train(corpus, params, classes=None, validation=None, vocabulary=CHORD_CLASSES):
+    """(weights, train losses, validation losses) of the allocating loop.
+
+    Full-batch gradient descent with the same init, objective, early
+    stopping and best-weight restore as ``student.train``.
+    """
+    classes = tuple(classes) if classes is not None else default_model_classes()
+
+    def design(tracks):
+        features = np.vstack([track.frames for track, _ in tracks])
+        x = np.hstack([features, np.ones((features.shape[0], 1))])
+        y = np.concatenate([frame_targets(track, labels, classes, vocabulary) for track, labels in tracks])
+        return x, y
+
+    x, y = design(corpus)
+    n = x.shape[0]
+    wvec = _class_weight_vector(classes, params.class_weights, vocabulary)
+    frame_w = wvec[y] if wvec is not None else None
+    use_val = bool(validation) and params.patience is not None
+    if use_val:
+        vx, vy = design(validation)
+    gamma = params.gamma if params.loss == "focal" else 0.0
+
+    w = init_model(classes, params).weights
+    train_losses, val_losses = [], []
+    best_val, best_w, stale = np.inf, None, 0
+    for _ in range(params.epochs):
+        loss, grad = focal.loss_and_logit_grad(_softmax(x @ w.T), y, gamma, frame_w)
+        train_losses.append(loss)
+        w = w - params.learning_rate * (grad.T @ x) / n
+        if use_val:
+            vloss = focal.sequence_loss(_softmax(vx @ w.T), vy, gamma, class_weight_vector=wvec)
+            val_losses.append(vloss)
+            if vloss < best_val:
+                best_val, best_w, stale = vloss, w.copy(), 0
+            else:
+                stale += 1
+                if stale >= params.patience:
+                    break
+    if best_w is not None:
+        w = best_w
+    return w, train_losses, val_losses if use_val else None

@@ -328,6 +328,18 @@ class TestRunAndCompare:
         assert code == cli.EXIT_DATA
         assert "lacks required fields: ['labeled_dir']" in err
 
+    def test_run_config_with_bad_augment(self, capsys, tmp_path, experiment_config):
+        raw = json.loads(experiment_config.read_text())
+        for augment, message in (({"noise": 0.2}, "unknown augment fields: ['noise']"),
+                                 ([1, 2], "augment must be a mapping")):
+            raw["augment"] = augment
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(raw))
+            code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
+                                   "run", "--config", str(bad))
+            assert code == cli.EXIT_DATA
+            assert message in err
+
     def test_compare_two_runs(self, capsys, tmp_path, experiment_config):
         run_dirs = []
         for sub in ("a", "b"):

@@ -139,7 +139,7 @@ class TestGradient:
 
         reset_clamp_count()
         probs = softmax(z)
-        _, grad = loss_and_logit_grad(probs, y, gamma, weights)
+        _, grad = loss_and_logit_grad(probs.copy(), y, gamma, weights)
         assert clamp_count() == 1
         analytic = grad / n
         numeric = fd_gradient(loss_of, z.ravel()).reshape(n, k)
@@ -151,6 +151,26 @@ class TestGradient:
         np.testing.assert_allclose(analytic[0], pull, rtol=1e-9)
         rel = np.linalg.norm(analytic[1:] - numeric[1:]) / np.linalg.norm(numeric[1:])
         assert rel < 1e-5
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_gradient_overwrites_probs(self, gamma, weighted):
+        rng = np.random.default_rng(8)
+        n, k = 9, 6
+        probs = softmax(rng.normal(0.0, 2.0, (n, k)))
+        y = rng.integers(k, size=n)
+        weights = rng.uniform(0.2, 3.0, n) if weighted else np.ones(n)
+        # Out-of-place gradient from a saved copy: w * factor * (onehot - p),
+        # with factor = p_t * d FL / d p_t (-1 for cross-entropy).
+        p = probs.copy()
+        p_t = p[np.arange(n), y]
+        factor = gamma * p_t * (1.0 - p_t) ** (gamma - 1.0) * np.log(p_t) - (1.0 - p_t) ** gamma
+        expected = (weights * factor)[:, None] * (np.eye(k)[y] - p)
+        expected_loss = float(np.mean(weights * (1.0 - p_t) ** gamma * -np.log(p_t)))
+        loss, grad = loss_and_logit_grad(probs, y, gamma, weights if weighted else None)
+        assert grad is probs
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+        np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
 
 
 class TestFocalScalars:

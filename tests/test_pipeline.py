@@ -96,6 +96,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(corpora, **overrides)
 
+    @pytest.mark.parametrize(
+        "augment,message",
+        [
+            ({"noise": 0.2}, r"unknown augment fields: \['noise'\]"),
+            ({"noise_sigma": 0.2, "sede": 3}, r"unknown augment fields: \['sede'\]"),
+            ([1, 2], "augment must be a mapping"),
+        ],
+    )
+    def test_rejects_bad_augment(self, corpora, augment, message):
+        with pytest.raises(ValueError, match=message):
+            make_config(corpora, seed=7, augment=augment)
+
     def test_json_round_trip(self, corpora, tmp_path):
         config = make_config(corpora, rare_classes=("dim", "hdim7"))
         path = tmp_path / "config.json"

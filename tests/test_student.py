@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordbalance.chords import CHORD_CLASSES, map_to_class, parse_chord_label
 from chordbalance.annotations import Interval, TimedLabelSequence
@@ -21,6 +23,7 @@ from chordbalance.student import (
 )
 from chordbalance.synth import CorpusSpec, generate_corpus
 
+import oracles
 from helpers import frame_accuracy
 
 
@@ -33,6 +36,10 @@ def clean_corpus(n_tracks=6, seed=3):
         track_prefix="clean",
     )
     return generate_corpus(spec)
+
+
+# Labels for frame-target properties: in and out of the model classes, N and X.
+TARGET_LABELS = ("C:maj", "D:min", "B:hdim7", "D:maj6", "G:aug", "N", "X")
 
 
 def noisy_corpus(n_tracks=6, seed=9, sigma=0.3):
@@ -129,6 +136,35 @@ class TestFrameTargets:
         # maj6 reduces to the maj class at root D
         np.testing.assert_array_equal(frame_targets(track, labels, classes), [1, 1, 1, 1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_frame_loop(self, data):
+        rate = data.draw(st.sampled_from([10.0, 4.0, 7.3]))
+        n = data.draw(st.integers(1, 30))
+        frame = st.integers(0, n + 4)
+        # Boundaries on frame midpoints (exactly, and one ulp either side),
+        # on frame edges, and anywhere up to past the track end.
+        point = st.one_of(
+            frame.map(lambda k: (k + 0.5) / rate),
+            frame.map(lambda k: float(np.nextafter((k + 0.5) / rate, np.inf))),
+            frame.map(lambda k: float(np.nextafter((k + 0.5) / rate, -np.inf))),
+            frame.map(lambda k: k / rate),
+            st.floats(0.0, (n + 4) / rate),
+        )
+        points = sorted(data.draw(st.lists(point, min_size=2, max_size=24, unique=True)))
+        # Each gap between consecutive points is a segment or left uncovered.
+        segments = [
+            (Interval(a, b), parse_chord_label(data.draw(st.sampled_from(TARGET_LABELS))))
+            for a, b in zip(points, points[1:])
+            if data.draw(st.booleans())
+        ]
+        track = FeatureTrack("t", np.zeros((n, 12)), frame_rate=rate)
+        labels = TimedLabelSequence("t", tuple(segments))
+        classes = ("C:maj", "D:min", "B:hdim7", "D:maj", "N")
+        np.testing.assert_array_equal(
+            frame_targets(track, labels, classes), oracles.frame_targets(track, labels, classes)
+        )
+
 
 class TestTrain:
     def test_noiseless_corpus_trains_to_high_accuracy(self):
@@ -179,6 +215,31 @@ class TestTrain:
             TrainParams(epochs=-1)
         with pytest.raises(ValueError):
             TrainParams(patience=0)
+
+
+class TestMatchesAllocatingLoop:
+    """The buffer-reusing trainer against the loop that allocates every epoch."""
+
+    @pytest.mark.parametrize(
+        "params,with_val",
+        [
+            (TrainParams(learning_rate=2.0, epochs=30, seed=5, loss="focal", gamma=2.0), False),
+            (TrainParams(learning_rate=2.0, epochs=30, seed=6,
+                         class_weights={"hdim7": 8.0, "dim": 4.0, "maj": 0.5}), False),
+            (TrainParams(learning_rate=60.0, epochs=300, seed=1, patience=5), True),
+        ],
+        ids=["focal", "weighted-ce", "patience"],
+    )
+    def test_weights_and_losses(self, params, with_val):
+        corpus = noisy_corpus(n_tracks=2, sigma=0.5)
+        val = noisy_corpus(n_tracks=2, seed=10, sigma=0.5) if with_val else None
+        result = train(corpus, params, validation=val)
+        weights, train_losses, val_losses = oracles.train(corpus, params, validation=val)
+        np.testing.assert_allclose(result.model.weights, weights, rtol=1e-12)
+        np.testing.assert_allclose(result.train_losses, train_losses, rtol=1e-12)
+        if with_val:
+            assert len(result.val_losses) < params.epochs  # patience fired
+            np.testing.assert_allclose(result.val_losses, val_losses, rtol=1e-12)
 
 
 class TestEarlyStopping:
