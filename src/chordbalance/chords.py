@@ -205,7 +205,7 @@ def parse_chord_label(text: str) -> ChordLabel:
     m = _ROOT_RE.match(body)
     if m is None:
         raise ChordParseError(f"invalid root in {text!r}")
-    root = (_NATURAL_OFFSETS[m.group(1)] + m.group(2).count("#") - m.group(2).count("b")) % 12
+    root = pitch_class(m.group(0))
 
     rest = body[m.end():]
     if rest == "":

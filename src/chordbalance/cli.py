@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from ._config import load_config
 from .annotations import LabFormatError, read_lab_file
 from .chords import ChordParseError, label_to_string, parse_chord_label
 from .metrics import TrackPair, compute_report, type_distribution, write_per_type_csv, write_report_json
@@ -25,14 +26,13 @@ from .pipeline import (
     write_comparison_csvs,
 )
 from .selection import (
-    DEFAULT_RARE_CLASSES,
     SelectionConfig,
     read_pseudolabels_jsonl,
     select_balanced_subset,
     write_excerpts_json,
     write_selection_report_csv,
 )
-from .synth import CorpusSpec, generate_corpus, save_corpus, spec_from_dict
+from .synth import generate_corpus, save_corpus, spec_from_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,16 +116,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_select(args) -> int:
     raw = json.loads(Path(args.config).read_text("utf-8"))
-    missing = [key for key in ("track_durations", "min_length", "labeled_total") if key not in raw]
-    if missing:
-        raise ValueError(f"selection config lacks required fields: {missing}")
-    durations = {str(k): float(v) for k, v in raw.pop("track_durations").items()}
-    config = SelectionConfig(
-        min_length=raw["min_length"],
-        labeled_total=raw["labeled_total"],
-        rare_classes=tuple(raw.get("rare_classes", DEFAULT_RARE_CLASSES)),
-        confidence_threshold=raw.get("confidence_threshold", 0.0),
-    )
+    config = load_config(SelectionConfig, raw, "selection config",
+                         extra={"track_durations": dict[str, float]})
+    durations = {tid: float(seconds) for tid, seconds in raw["track_durations"].items()}
     pseudolabels = read_pseudolabels_jsonl(args.pseudolabels)
     dataset, report = select_balanced_subset(pseudolabels, durations, config)
     out = _out_dir(args)
@@ -140,12 +133,10 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.spec is not None:
-        spec = spec_from_dict(json.loads(Path(args.spec).read_text("utf-8")))
-    else:
-        spec = CorpusSpec()
+    raw = {} if args.spec is None else json.loads(Path(args.spec).read_text("utf-8"))
+    spec = spec_from_dict(raw)
     if args.seed is not None:
-        spec = spec_from_dict({**spec.to_dict(), "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     corpus = generate_corpus(spec)
     out = _out_dir(args)
     save_corpus(out, corpus, spec)

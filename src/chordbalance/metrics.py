@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -170,12 +170,7 @@ class MetricsReport:
     distribution: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "wcsr": self.wcsr,
-            "acqa": self.acqa,
-            "per_type": dict(sorted(self.per_type.items(), key=lambda kv: class_sort_key(kv[0]))),
-            "distribution": dict(sorted(self.distribution.items(), key=lambda kv: class_sort_key(kv[0]))),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         """Stable serialization: sorted keys, fixed indentation."""
@@ -210,8 +205,13 @@ def write_report_json(path: str | Path, report: MetricsReport) -> None:
 
 def write_per_type_csv(path: str | Path, report: MetricsReport) -> None:
     """Per-class table: one row per class, reference share and score columns."""
+    _write_csv(path, ["class", "reference_share", "score"],
+               [[cls, f"{share:.6f}", f"{score:.6f}"] for cls, share, score in report.per_type_rows()])
+
+
+def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """The one CSV writer of the package: a header row, then the rows."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["class", "reference_share", "score"])
-        for cls, share, score in report.per_type_rows():
-            writer.writerow([cls, f"{share:.6f}", f"{score:.6f}"])
+        writer.writerow(header)
+        writer.writerows(rows)

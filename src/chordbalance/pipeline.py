@@ -16,20 +16,20 @@ kept out of reports.json and written to a separate timings.csv.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import student
+from ._config import JsonConfig, load_config
 from .annotations import Interval, TimedLabelSequence
 from .augment import AugmentSpec, add_noise, derive_seed, draw_semitones, pitch_shift
 from .chords import CHORD_CLASSES
-from .metrics import MetricsReport, TrackPair, compute_report
+from .metrics import MetricsReport, TrackPair, _write_csv, compute_report
 from .selection import (
     DEFAULT_RARE_CLASSES,
     SelectionConfig,
@@ -56,7 +56,7 @@ class PipelineError(RuntimeError):
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(JsonConfig):
     """Single source of truth for one experiment run."""
 
     labeled_dir: str
@@ -89,48 +89,22 @@ class ExperimentConfig:
             raise ValueError(f"smoothing window must be odd and >= 1, got {self.smoothing_window}")
         self.rare_classes = tuple(self.rare_classes)
         if not isinstance(self.augment, AugmentSpec):
-            aug = {} if self.augment is None else self.augment
-            if not isinstance(aug, Mapping):
-                raise ValueError(f"augment must be a mapping of AugmentSpec fields, got {aug!r}")
-            unknown = set(aug) - set(AugmentSpec.__dataclass_fields__)
-            if unknown:
-                raise ValueError(f"unknown augment fields: {sorted(unknown)}")
-            self.augment = AugmentSpec(
-                tuple(aug.get("semitone_range", (-5, 6))),
-                aug.get("noise_sigma", 0.05),
-                aug.get("seed", self.seed),
-            )
-        # Delegate the rest to the dataclasses that own the fields.
-        SelectionConfig(self.min_length, 0.0, self.rare_classes, self.confidence_threshold)
-        TrainParams(self.learning_rate, self.epochs, self.seed, self.loss, self.gamma,
-                    self.class_weights, self.patience)
+            raw = {} if self.augment is None else self.augment
+            self.augment = load_config(AugmentSpec, raw, "augment",
+                                       {"semitone_range": (-5, 6), "noise_sigma": 0.05, "seed": self.seed})
+        # Built once from the shared field names; a round replaces only
+        # its seed and the labeled total.  Not fields, so equality and
+        # the echo see only the config itself.
+        self._train_params = self._part(TrainParams)
+        self._selection = self._part(SelectionConfig, labeled_total=0.0)
+
+    def _part(self, cls, **fixed):
+        return cls(**{name: getattr(self, name) for name in cls.__dataclass_fields__
+                      if name in self.__dataclass_fields__}, **fixed)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        raw = json.loads(Path(path).read_text("utf-8"))
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
-        missing = [f.name for f in fields(cls)
-                   if f.default is MISSING and f.default_factory is MISSING and f.name not in raw]
-        if missing:
-            raise ValueError(f"experiment config lacks required fields: {missing}")
-        return cls(**raw)
-
-    def to_dict(self) -> dict:
-        out = {
-            f: getattr(self, f)
-            for f in self.__dataclass_fields__
-            if f not in ("augment", "rare_classes")
-        }
-        out["rare_classes"] = list(self.rare_classes)
-        out["augment"] = {
-            "semitone_range": list(self.augment.semitone_range),
-            "noise_sigma": self.augment.noise_sigma,
-            "seed": self.augment.seed,
-        }
-        return out
+        return load_config(cls, json.loads(Path(path).read_text("utf-8")), "experiment config")
 
 
 @dataclass
@@ -146,15 +120,7 @@ class IterationReport:
     def to_dict(self) -> dict:
         selection = None
         if self.selection is not None:
-            selection = {
-                cls: {
-                    "desired_duration": sel.desired_duration,
-                    "selected_duration": sel.selected_duration,
-                    "seeds_used": sel.seeds_used,
-                    "shortfall": sel.shortfall,
-                }
-                for cls, sel in self.selection.per_class.items()
-            }
+            selection = {cls: asdict(sel) for cls, sel in self.selection.per_class.items()}
         # wall_seconds stays out on purpose: reports must be reproducible
         # byte for byte across reruns of the same config.
         return {
@@ -228,7 +194,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
     n_train = max(1, int(round(config.split_fraction * len(labeled))))
     train_split = [labeled[i] for i in order[:n_train]]
     val_split = [labeled[i] for i in order[n_train:]]
-    labeled_total = sum(track.duration for track, _ in train_split)
+    selection = replace(config._selection,
+                        labeled_total=sum(track.duration for track, _ in train_split))
 
     classes = student.default_model_classes()
     vocabulary = CHORD_CLASSES
@@ -248,13 +215,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
                 lambda: [predict_segments(teacher, track, config.smoothing_window)
                          for track, _ in unlabeled],
             )
-            sel_config = SelectionConfig(
-                config.min_length, labeled_total, config.rare_classes,
-                config.confidence_threshold,
-            )
             dataset, selection_report = _stage(
                 "select", k, select_balanced_subset, pseudo, unlabeled_durations,
-                sel_config, vocabulary,
+                selection, vocabulary,
             )
             pseudo_by_track = {ps.sequence.track_id: ps for ps in pseudo}
             track_by_id = {track.track_id: track for track, _ in unlabeled}
@@ -286,15 +249,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
             write_pseudolabels_jsonl(out / f"selection_{k}.jsonl", excerpt_pseudo)
             corpus = list(train_split) + excerpt_corpus
 
-        params = TrainParams(
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            seed=derive_seed(config.seed, f"train-{k}"),
-            loss=config.loss,
-            gamma=config.gamma,
-            class_weights=config.class_weights,
-            patience=config.patience,
-        )
+        params = replace(config._train_params, seed=derive_seed(config.seed, f"train-{k}"))
         result = _stage("train", k, student.train, corpus, params, classes,
                         val_split or None, vocabulary)
         current_model = result.model
@@ -331,22 +286,13 @@ def _write_run_outputs(
     (out / "reports.json").write_text(
         json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n", "utf-8"
     )
-    with open(out / "curves.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "wcsr", "acqa"])
-        for r in reports:
-            writer.writerow([r.iteration, f"{r.metrics.wcsr:.6f}", f"{r.metrics.acqa:.6f}"])
     best = max(reports, key=lambda r: r.metrics.acqa)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "best_iteration", "wcsr", "acqa"])
-        writer.writerow([config.name, best.iteration,
-                         f"{best.metrics.wcsr:.6f}", f"{best.metrics.acqa:.6f}"])
-    with open(out / "timings.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "wall_seconds"])
-        for r in reports:
-            writer.writerow([r.iteration, f"{r.wall_seconds:.3f}"])
+    _write_csv(out / "curves.csv", ["iteration", "wcsr", "acqa"],
+               [[r.iteration, f"{r.metrics.wcsr:.6f}", f"{r.metrics.acqa:.6f}"] for r in reports])
+    _write_csv(out / "summary.csv", ["name", "best_iteration", "wcsr", "acqa"],
+               [[config.name, best.iteration, f"{best.metrics.wcsr:.6f}", f"{best.metrics.acqa:.6f}"]])
+    _write_csv(out / "timings.csv", ["iteration", "wall_seconds"],
+               [[r.iteration, f"{r.wall_seconds:.3f}"] for r in reports])
     manifest = {
         "config": config.to_dict(),
         "train_tracks": sorted(track.track_id for track, _ in train_split),
@@ -396,13 +342,7 @@ def write_comparison_csvs(
 ) -> None:
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    with open(output_dir / "comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "best_iteration", "wcsr", "acqa"])
-        for name, iteration, w, a in table:
-            writer.writerow([name, iteration, f"{w:.6f}", f"{a:.6f}"])
-    with open(output_dir / "curves.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "iteration", "wcsr", "acqa"])
-        for name, iteration, w, a in curves:
-            writer.writerow([name, iteration, f"{w:.6f}", f"{a:.6f}"])
+    for filename, first, rows in (("comparison.csv", "best_iteration", table),
+                                  ("curves.csv", "iteration", curves)):
+        _write_csv(output_dir / filename, ["name", first, "wcsr", "acqa"],
+                   [[name, iteration, f"{w:.6f}", f"{a:.6f}"] for name, iteration, w, a in rows])

@@ -20,7 +20,6 @@ uncontested time before the more common rare classes cover it.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .annotations import Interval, TimedLabelSequence, merge_intervals
 from .chords import CHORD_CLASSES, ChordLabel, label_to_string, map_to_class, parse_chord_label
-from .metrics import class_sort_key
+from .metrics import _write_csv, class_sort_key
 from .student import PredictedSegments
 
 __all__ = [
@@ -310,14 +309,9 @@ def read_excerpts_json(path: str | Path) -> ExcerptDataset:
 
 
 def write_selection_report_csv(path: str | Path, report: SelectionReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "desired_duration", "selected_duration", "seeds_used", "shortfall"])
-        for cls, sel in report.per_class.items():
-            writer.writerow([
-                cls,
-                f"{sel.desired_duration:.6f}",
-                f"{sel.selected_duration:.6f}",
-                sel.seeds_used,
-                "true" if sel.shortfall else "false",
-            ])
+    rows = [
+        [cls, f"{sel.desired_duration:.6f}", f"{sel.selected_duration:.6f}", sel.seeds_used,
+         "true" if sel.shortfall else "false"]
+        for cls, sel in report.per_class.items()
+    ]
+    _write_csv(path, ["class", "desired_duration", "selected_duration", "seeds_used", "shortfall"], rows)

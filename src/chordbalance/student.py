@@ -25,6 +25,7 @@ import numpy as np
 from scipy.ndimage import median_filter
 
 from . import focal
+from ._config import JsonConfig, load_config
 from .annotations import Interval, TimedLabelSequence
 from .chords import (
     CHORD_CLASSES,
@@ -100,7 +101,7 @@ def default_model_classes() -> tuple[str, ...]:
 
 
 @dataclass
-class TrainParams:
+class TrainParams(JsonConfig):
     """Gradient descent settings; the seed fixes the weight init."""
 
     learning_rate: float = 1.0
@@ -125,17 +126,6 @@ class TrainParams:
         for cls, w in (self.class_weights or {}).items():
             if not (w >= 0 and math.isfinite(w)):
                 raise ValueError(f"class weight for {cls!r} must be finite and >= 0, got {w}")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "loss": self.loss,
-            "gamma": self.gamma,
-            "class_weights": self.class_weights,
-            "patience": self.patience,
-        }
 
 
 @dataclass
@@ -378,14 +368,5 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ClassifierModel:
     payload = json.loads(Path(path).read_text("utf-8"))
-    raw = dict(payload["params"])
-    params = TrainParams(
-        learning_rate=raw["learning_rate"],
-        epochs=raw["epochs"],
-        seed=raw["seed"],
-        loss=raw["loss"],
-        gamma=raw["gamma"],
-        class_weights=raw["class_weights"],
-        patience=raw["patience"],
-    )
+    params = load_config(TrainParams, payload["params"], "model params", defaults={})
     return ClassifierModel(tuple(payload["classes"]), np.asarray(payload["weights"]), params)

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._config import JsonConfig, load_config
 from .annotations import Interval, TimedLabelSequence, read_lab_file, write_lab_file
 from .augment import derive_seed
 from .chords import CHORD_CLASSES, NO_CHORD, REPRESENTATIVE_QUALITY, ChordLabel
@@ -85,7 +86,7 @@ def no_chord_template() -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(JsonConfig):
     """Generation settings; two specs with equal fields generate equal corpora."""
 
     n_tracks: int = 16
@@ -132,26 +133,10 @@ class CorpusSpec:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"class distribution sums to {total}, not 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_tracks": self.n_tracks,
-            "track_length_range": list(self.track_length_range),
-            "chord_duration_range": list(self.chord_duration_range),
-            "class_distribution": dict(self.class_distribution),
-            "noise_sigma": self.noise_sigma,
-            "frame_rate": self.frame_rate,
-            "seed": self.seed,
-            "track_prefix": self.track_prefix,
-        }
-
 
 def spec_from_dict(raw: Mapping) -> CorpusSpec:
     """Build a spec from parsed JSON, tolerating missing fields."""
-    known = {f for f in CorpusSpec.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown corpus spec fields: {sorted(unknown)}")
-    return CorpusSpec(**{k: v for k, v in raw.items()})
+    return load_config(CorpusSpec, raw, "corpus spec")
 
 
 def _label_for(chord_class: str, root: int) -> ChordLabel:

@@ -210,6 +210,26 @@ class TestSelect:
         assert code == cli.EXIT_DATA
         assert "lacks required fields: ['labeled_total']" in err
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"confidence_treshold": 0.99}, "unknown selection config fields: ['confidence_treshold']"),
+            ({"min_length": "4"}, "selection config field 'min_length' must be float, got '4'"),
+            ({"track_durations": {"pool-0": "60"}},
+             "selection config field 'track_durations' must be dict[str, float]"),
+            ({"rare_classes": ["dim", 7]}, "selection config field 'rare_classes' must be tuple[str, ...]"),
+        ],
+        ids=["misspelt-key", "min_length", "track_durations", "rare_classes"],
+    )
+    def test_malformed_config(self, capsys, tmp_path, select_inputs, edit, message):
+        jsonl, config = select_inputs
+        config.write_text(json.dumps({**json.loads(config.read_text()), **edit}))
+        code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
+                               "select", "--pseudolabels", str(jsonl), "--config", str(config))
+        assert code == cli.EXIT_DATA
+        assert message in err
+        assert not (tmp_path / "out" / "excerpts.json").exists()
+
 
 class TestSynth:
     def spec_file(self, tmp_path, **overrides):
@@ -248,6 +268,14 @@ class TestSynth:
         code, _, err = run_cli(capsys, "synth", "--spec", str(spec))
         assert code == cli.EXIT_DATA
         assert err.startswith("error:")
+
+    def test_wrong_typed_spec_field(self, capsys, tmp_path):
+        spec = self.spec_file(tmp_path, n_tracks="2")
+        code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "corpus"),
+                               "synth", "--spec", str(spec))
+        assert code == cli.EXIT_DATA
+        assert "corpus spec field 'n_tracks' must be int, got '2'" in err
+        assert not (tmp_path / "corpus" / "manifest.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +367,21 @@ class TestRunAndCompare:
                                    "run", "--config", str(bad))
             assert code == cli.EXIT_DATA
             assert message in err
+
+    def test_run_config_with_wrong_typed_values(self, capsys, tmp_path, experiment_config):
+        raw = json.loads(experiment_config.read_text())
+        for edit, message in (
+            ({"epochs": "2"}, "experiment config field 'epochs' must be int, got '2'"),
+            ({"iterations": 1.5}, "experiment config field 'iterations' must be int, got 1.5"),
+            ({"augment": {"seed": "abc"}}, "augment field 'seed' must be int, got 'abc'"),
+        ):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({**raw, **edit}))
+            code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
+                                   "run", "--config", str(bad))
+            assert code == cli.EXIT_DATA
+            assert message in err
+        assert not (tmp_path / "out" / "reports.json").exists()
 
     def test_compare_two_runs(self, capsys, tmp_path, experiment_config):
         run_dirs = []

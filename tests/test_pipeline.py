@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -102,6 +103,11 @@ class TestConfig:
             ({"noise": 0.2}, r"unknown augment fields: \['noise'\]"),
             ({"noise_sigma": 0.2, "sede": 3}, r"unknown augment fields: \['sede'\]"),
             ([1, 2], "augment must be a mapping"),
+            ({"semitone_range": 5},
+             r"augment field 'semitone_range' must be tuple\[int, int\], got 5"),
+            ({"semitone_range": [-5, 6, 7]}, "augment field 'semitone_range' must be"),
+            ({"noise_sigma": "x"}, "augment field 'noise_sigma' must be float, got 'x'"),
+            ({"seed": "abc"}, "augment field 'seed' must be int, got 'abc'"),
         ],
     )
     def test_rejects_bad_augment(self, corpora, augment, message):
@@ -120,6 +126,29 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw), "utf-8")
         with pytest.raises(ValueError, match="unknown"):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"epochs": "2"}, "experiment config field 'epochs' must be int, got '2'"),
+            ({"iterations": 1.5}, "experiment config field 'iterations' must be int, got 1.5"),
+            ({"seed": "abc"}, "experiment config field 'seed' must be int, got 'abc'"),
+            ({"seed": True}, "experiment config field 'seed' must be int, got True"),
+            ({"class_weights": {"dim": "8"}},
+             "experiment config field 'class_weights' must be dict[str, float] | None"),
+            ({"rare_classes": "dim"}, "experiment config field 'rare_classes' must be tuple[str, ...]"),
+            ({"patience": 2.5}, "experiment config field 'patience' must be int | None, got 2.5"),
+            ({"augment": {"noise_sigma": "x"}}, "augment field 'noise_sigma' must be float, got 'x'"),
+        ],
+        ids=["epochs", "iterations", "seed-str", "seed-bool", "class_weights", "rare_classes",
+             "patience", "augment"],
+    )
+    def test_from_json_rejects_wrong_types(self, corpora, tmp_path, overrides, message):
+        raw = {**make_config(corpora).to_dict(), **overrides}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), "utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_json(path)
 
     def test_augment_seed_falls_back_to_run_seed(self, corpora, tmp_path):

@@ -1,5 +1,7 @@
 """Toy softmax classifier: training determinism, smoothing, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,6 +371,25 @@ class TestSerialization:
         assert loaded.classes == trained.classes
         np.testing.assert_array_equal(loaded.weights, trained.weights)
         assert loaded.params.to_dict() == trained.params.to_dict()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda params: params.update(pateince=3), r"unknown model params fields: \['pateince'\]"),
+            (lambda params: params.pop("patience"), r"model params lacks required fields: \['patience'\]"),
+            (lambda params: params.update(epochs="25"), "model params field 'epochs' must be int"),
+        ],
+        ids=["unknown", "missing", "wrong-type"],
+    )
+    def test_load_rejects_malformed_params(self, tmp_path, edit, message):
+        model = init_model(default_model_classes(), TrainParams(seed=4))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        edit(payload["params"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         corpus = noisy_corpus(n_tracks=2)
