@@ -42,8 +42,8 @@ class AugmentSpec:
             raise ValueError(f"empty semitone range ({lo}, {hi})")
         if lo < -11 or hi > 11:
             raise ValueError(f"semitone range ({lo}, {hi}) outside [-11, 11]")
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        if not (self.noise_sigma >= 0 and np.isfinite(self.noise_sigma)):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def derive_seed(seed: int, key: str) -> int:

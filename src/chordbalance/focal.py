@@ -8,10 +8,11 @@ formula without the minus sign on the log; this module uses the standard
 convention in which the loss is nonnegative and gamma = 0 degenerates to
 plain cross-entropy.
 
-:func:`loss_and_logit_grad` is the training objective: mean loss and
-logit gradient of a whole batch in one pass.  :func:`sequence_loss`
-validates probabilities that come from outside and returns the same
-mean loss.
+:func:`frame_losses` is the training objective: per-frame loss and,
+optionally, logit gradient of a block of rows, safe to run on several
+blocks at once.  :func:`loss_and_logit_grad` applies it to a whole
+batch and :func:`sequence_loss` to validated probabilities that come
+from outside; both return the mean loss.
 
 True-class probabilities below a small floor are clamped before the log
 and the clamp is counted, so silently broken inputs surface in
@@ -25,6 +26,7 @@ import numpy as np
 __all__ = [
     "PROB_FLOOR",
     "clamp_count",
+    "frame_losses",
     "loss_and_logit_grad",
     "reset_clamp_count",
     "sequence_loss",
@@ -47,71 +49,65 @@ def reset_clamp_count() -> None:
 
 def _note_clamps(n: int) -> None:
     global _clamp_events
-    _clamp_events += int(n)
+    _clamp_events += n
 
 
-def _frame_losses(probs: np.ndarray, y: np.ndarray, gamma: float):
-    """Clamped ``p_t``, ``(1 - p_t)^gamma`` and the focal loss of every frame."""
-    p_t = probs[np.arange(y.shape[0]), y]
-    low = p_t < PROB_FLOOR
-    if low.any():
-        _note_clamps(low.sum())
+def frame_losses(probs: np.ndarray, y: np.ndarray, gamma: float,
+                 weights: np.ndarray | None, out: np.ndarray, grad: bool = False) -> int:
+    """Weighted focal loss of every frame and, with ``grad``, its logit gradient.
+
+    ``probs`` (n_frames, n_classes) are softmax rows, not validated; ``y``
+    the true class per frame; ``gamma`` >= 0, 0 being cross-entropy;
+    ``weights`` an optional per-frame weight, usually the class weight of
+    the frame's target.  ``out`` (n_frames,) receives ``w * FL(p_t)``.
+    With ``grad``, each row of ``probs`` is overwritten with the gradient
+    of its frame's weighted loss in the logits.  A frame clamped at the
+    floor keeps, to about 1e-10, the gradient of its unclamped loss: its
+    loss value is flat there, but its logits are still pulled toward the
+    true class.
+
+    Returns the number of clamped frames, for the caller to note: nothing
+    global is touched, so disjoint row blocks can run on separate threads.
+    """
+    rows = np.arange(y.shape[0])
+    p_t = probs[rows, y]
+    clamps = int(np.count_nonzero(p_t < PROB_FLOOR))
     p_t = np.clip(p_t, PROB_FLOOR, 1.0)
     modulation = (1.0 - p_t) ** gamma
-    return p_t, modulation, modulation * -np.log(p_t)
-
-
-def loss_and_logit_grad(
-    probs: np.ndarray,
-    y: np.ndarray,
-    gamma: float,
-    weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Weighted mean focal loss of a batch and its gradient in the logits.
-
-    Parameters
-    ----------
-    probs : array of shape (n_frames, n_classes)
-        Softmax probabilities of the logits; not validated.  Consumed:
-        the gradient is written into this array, which is returned.
-    y : int array of shape (n_frames,)
-        True class index per frame.
-    gamma : modulation exponent, >= 0; 0 is cross-entropy
-    weights : optional array of shape (n_frames,)
-        Per-frame weight, usually the class weight of the frame's target.
-
-    Returns
-    -------
-    (float, ndarray of shape (n_frames, n_classes))
-        ``mean(w * FL(p_t))`` and ``probs``, overwritten row by row with
-        the gradient of each frame's weighted loss ``w * FL(p_t)`` with
-        respect to its logits; the gradient of the mean is that array
-        divided by ``n_frames``.
-        A frame clamped at the floor keeps, to about 1e-10, the gradient
-        of its unclamped loss: its loss value is flat there, but its
-        logits are still pulled toward the true class.
-    """
-    p_t, modulation, losses = _frame_losses(probs, y, gamma)
-    rows = np.arange(y.shape[0])
+    log_p = np.log(p_t)
+    np.multiply(modulation, -log_p, out=out)
+    if weights is not None:
+        out *= weights
+    if not grad:
+        return clamps
     # With softmax p, d p_t / d z_j = p_t * (onehot_t[j] - p[j]), so the
     # logit gradient is (d FL / d p_t * p_t) * (onehot_t - p).
     if gamma == 0:
         # Cross-entropy: the factor is -1 everywhere (also at p_t = 1,
         # where the general form below is set to 0), so grad = p - onehot_t.
-        grad = probs
-        grad[rows, y] -= 1.0
+        probs[rows, y] -= 1.0
     else:
         u = 1.0 - p_t
         with np.errstate(divide="ignore", invalid="ignore"):
-            factor = gamma * p_t * u ** (gamma - 1.0) * np.log(p_t) - modulation
+            factor = gamma * p_t * u ** (gamma - 1.0) * log_p - modulation
         # The factor's limit for p_t -> 1 is 0 for every gamma > 0.
-        grad = np.negative(probs, out=probs)
-        grad[rows, y] += 1.0
-        grad *= np.where(u > 0, factor, 0.0)[:, None]
+        np.negative(probs, out=probs)
+        probs[rows, y] += 1.0
+        probs *= np.where(u > 0, factor, 0.0)[:, None]
     if weights is not None:
-        losses = losses * weights
-        grad *= weights[:, None]
-    return float(losses.mean()), grad
+        probs *= weights[:, None]
+    return clamps
+
+
+def loss_and_logit_grad(probs: np.ndarray, y: np.ndarray, gamma: float,
+                        weights: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """``mean(w * FL(p_t))`` of a batch and ``probs``, overwritten with its
+    per-frame logit gradient (see :func:`frame_losses`); the gradient of
+    the mean is that array divided by ``n_frames``.
+    """
+    losses = np.empty(y.shape[0])
+    _note_clamps(frame_losses(probs, y, gamma, weights, losses, grad=True))
+    return float(losses.mean()), probs
 
 
 def sequence_loss(frames: np.ndarray, targets: np.ndarray, gamma: float,
@@ -151,7 +147,7 @@ def sequence_loss(frames: np.ndarray, targets: np.ndarray, gamma: float,
     if probs[np.arange(probs.shape[0]), idx].max() > 1.0 + 1e-9:
         raise ValueError("true-class probability exceeds 1")
 
-    losses = _frame_losses(probs, idx, gamma)[2]
-    if class_weight_vector is not None:
-        losses = losses * np.asarray(class_weight_vector, dtype=float)[idx]
+    weights = None if class_weight_vector is None else np.asarray(class_weight_vector, dtype=float)[idx]
+    losses = np.empty(idx.shape[0])
+    _note_clamps(frame_losses(probs, idx, gamma, weights, losses))
     return float(losses.mean())

@@ -21,6 +21,7 @@ uncontested time before the more common rare classes cover it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -59,10 +60,10 @@ class SelectionConfig:
     confidence_threshold: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.min_length > 0:
-            raise ValueError(f"min_length must be positive, got {self.min_length}")
-        if self.labeled_total < 0:
-            raise ValueError(f"labeled_total must be >= 0, got {self.labeled_total}")
+        if not (self.min_length > 0 and math.isfinite(self.min_length)):
+            raise ValueError(f"min_length must be finite and positive, got {self.min_length}")
+        if not (self.labeled_total >= 0 and math.isfinite(self.labeled_total)):
+            raise ValueError(f"labeled_total must be finite and >= 0, got {self.labeled_total}")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError(f"confidence threshold {self.confidence_threshold} outside [0, 1]")
         if not self.rare_classes:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -53,6 +55,9 @@ __all__ = [
 
 N_CHROMA = 12
 _INIT_SCALE = 0.01
+# Rows per block of a training pass: a block of logits (2,048 x 109
+# doubles, 1.7 MiB) stays in L2 cache through its softmax and loss.
+_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -115,8 +120,8 @@ class TrainParams(JsonConfig):
     def __post_init__(self) -> None:
         if self.loss not in ("cross_entropy", "focal"):
             raise ValueError(f"unknown loss kind {self.loss!r}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.patience is not None and self.patience < 1:
@@ -190,6 +195,34 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _workers(blocks: int) -> int:
+    """Threads for a pass: the CPUs this process may run on, at most one per block."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, blocks))
+
+
+def _block_losses(z, y, gamma, weights, out, grad) -> int:
+    return focal.frame_losses(_softmax(z), y, gamma, weights, out, grad)
+
+
+def _blocked_pass(pool, w, x, y, weights, gamma, buf, losses, grad) -> float:
+    """Mean focal loss of the rows of ``x``, computed in row blocks.
+
+    This thread runs each block's product into ``buf`` and hands its
+    softmax and per-frame losses to ``pool``, so BLAS runs here only,
+    beside the workers.  Every row and the mean come out as in one
+    unblocked pass; with ``grad``, ``buf`` then holds the logit gradient.
+    """
+    jobs = []
+    for a in range(0, len(x), _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, len(x))
+        z = np.matmul(x[a:b], w.T, out=buf[a:b])
+        jobs.append(pool.submit(_block_losses, z, y[a:b], gamma,
+                                None if weights is None else weights[a:b], losses[a:b], grad))
+    focal._note_clamps(sum(job.result() for job in jobs))
+    return float(losses[:len(x)].mean())
+
+
 def init_model(classes: Sequence[str], params: TrainParams) -> ClassifierModel:
     """Seeded small-normal weight init; same seed, same weights, bitwise."""
     rng = np.random.default_rng(params.seed)
@@ -256,36 +289,30 @@ def train(
     if not corpus:
         raise ValueError("empty training corpus")
     classes = tuple(classes) if classes is not None else default_model_classes()
-    model = init_model(classes, params)
-
-    features = np.vstack([track.frames for track, _ in corpus])
-    x = np.hstack([features, np.ones((features.shape[0], 1))])
-    y = np.concatenate([frame_targets(track, labels, classes, vocabulary) for track, labels in corpus])
-    n = x.shape[0]
     wvec = _class_weight_vector(classes, params.class_weights, vocabulary)
-    frame_w = wvec[y] if wvec is not None else None
 
+    def design(tracks):
+        """Inputs with a bias column, targets and per-frame weights."""
+        features = np.vstack([track.frames for track, _ in tracks])
+        y = np.concatenate([frame_targets(track, labels, classes, vocabulary) for track, labels in tracks])
+        x = np.hstack([features, np.ones((features.shape[0], 1))])
+        return x, y, wvec[y] if wvec is not None else None
+
+    x, y, frame_w = design(corpus)
+    n = x.shape[0]
     use_val = validation is not None and len(validation) > 0 and params.patience is not None
     if use_val:
-        vfeat = np.vstack([track.frames for track, _ in validation])
-        vx = np.hstack([vfeat, np.ones((vfeat.shape[0], 1))])
-        vy = np.concatenate(
-            [frame_targets(track, labels, classes, vocabulary) for track, labels in validation]
-        )
-        vbuf = np.empty((vx.shape[0], len(classes)))
+        vx, vy, vframe_w = design(validation)
 
     gamma = params.gamma if params.loss == "focal" else 0.0
-    # Logits, probabilities and gradient of every epoch share one buffer.
+    # Every pass shares one logit/gradient buffer and one loss vector.
     # x.T is laid out once: ``xT @ grad`` runs the step's product along its
     # long axis and is bit-equal to ``grad.T @ x`` at one BLAS thread.
-    buf = np.empty((n, len(classes)))
+    rows = max(n, len(vx)) if use_val else n
+    buf, losses = np.empty((rows, len(classes))), np.empty(rows)
     xT = np.ascontiguousarray(x.T)
 
-    def batch_loss(weights: np.ndarray, bx: np.ndarray, by: np.ndarray, out: np.ndarray) -> float:
-        probs = _softmax(np.matmul(bx, weights.T, out=out))
-        return focal.sequence_loss(probs, by, gamma, class_weight_vector=wvec)
-
-    w = model.weights
+    w = init_model(classes, params).weights
     train_losses: list[float] = []
     val_losses: list[float] = [] if use_val else None
     best_val = np.inf
@@ -294,31 +321,33 @@ def train(
     stale = 0
     epochs_run = 0
 
-    for epoch in range(params.epochs):
-        probs = _softmax(np.matmul(x, w.T, out=buf))
-        loss, grad = focal.loss_and_logit_grad(probs, y, gamma, frame_w)
-        train_losses.append(loss)
-        w = w - params.learning_rate * (xT @ grad).T / n
-        epochs_run = epoch + 1
+    with ThreadPoolExecutor(_workers(-(-rows // _BLOCK_ROWS))) as pool:
+        def mean_loss(w, x, y, frame_w, grad=False):
+            return _blocked_pass(pool, w, x, y, frame_w, gamma, buf, losses, grad)
 
-        if use_val:
-            vloss = batch_loss(w, vx, vy, vbuf)
-            val_losses.append(vloss)
-            if vloss < best_val:
-                best_val = vloss
-                best_w = w.copy()
-                best_epoch = epochs_run
-                stale = 0
-            else:
-                stale += 1
-                if stale >= params.patience:
-                    break
+        for epoch in range(params.epochs):
+            train_losses.append(mean_loss(w, x, y, frame_w, grad=True))
+            w = w - params.learning_rate * (xT @ buf[:n]).T / n
+            epochs_run = epoch + 1
 
-    if use_val and best_w is not None:
-        w = best_w
-        epochs_run = best_epoch
+            if use_val:
+                vloss = mean_loss(w, vx, vy, vframe_w)
+                val_losses.append(vloss)
+                if vloss < best_val:
+                    best_val = vloss
+                    best_w = w.copy()
+                    best_epoch = epochs_run
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= params.patience:
+                        break
+
+        if use_val and best_w is not None:
+            w = best_w
+            epochs_run = best_epoch
+        final_loss = mean_loss(w, x, y, frame_w)
     model = ClassifierModel(classes, w, params)
-    final_loss = batch_loss(w, x, y, buf)
     return TrainResult(model, final_loss, epochs_run, train_losses, val_losses)
 
 

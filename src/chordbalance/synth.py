@@ -106,10 +106,10 @@ class CorpusSpec(JsonConfig):
         object.__setattr__(self, "class_distribution", dict(self.class_distribution))
         if self.n_tracks < 1:
             raise ValueError(f"n_tracks must be >= 1, got {self.n_tracks}")
-        if not self.frame_rate > 0:
-            raise ValueError(f"frame rate must be positive, got {self.frame_rate}")
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        if not (self.frame_rate > 0 and np.isfinite(self.frame_rate)):
+            raise ValueError(f"frame rate must be finite and positive, got {self.frame_rate}")
+        if not (self.noise_sigma >= 0 and np.isfinite(self.noise_sigma)):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         # prefix lands in file names, so keep it path-safe
         if not self.track_prefix or "/" in self.track_prefix or "\\" in self.track_prefix:
             raise ValueError(f"invalid track prefix {self.track_prefix!r}")
@@ -117,8 +117,8 @@ class CorpusSpec(JsonConfig):
             ("track_length_range", self.track_length_range),
             ("chord_duration_range", self.chord_duration_range),
         ):
-            if not (lo > 0 and hi >= lo):
-                raise ValueError(f"{name} must satisfy 0 < low <= high, got ({lo}, {hi})")
+            if not (lo > 0 and hi >= lo and np.isfinite(hi)):
+                raise ValueError(f"{name} must satisfy 0 < low <= high < inf, got ({lo}, {hi})")
         if self.chord_duration_range[0] > self.track_length_range[1]:
             raise ValueError("infeasible spec: shortest chord exceeds longest track")
         probs = self.class_distribution

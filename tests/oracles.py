@@ -6,8 +6,9 @@ segment boundaries, and the gradient oracle uses central finite
 differences instead of the analytic formula, and the template oracle
 decodes a chroma frame by brute-force search over every rooted template.
 The frame-target oracle walks the frames one at a time instead of
-slicing whole segments, and the trainer oracle allocates fresh arrays
-every epoch and takes the weight step as ``grad.T @ x``.
+slicing whole segments, and the trainer oracle takes each pass over the
+whole batch at once in fresh arrays, on one thread, and the weight step
+as ``grad.T @ x``.
 Label-to-class reduction and the batch objective are shared with the
 library on purpose; the duration arithmetic, the frame assignment and
 the training loop are what gets verified here.
@@ -147,7 +148,7 @@ def _softmax(z):
 
 
 def train(corpus, params, classes=None, validation=None, vocabulary=CHORD_CLASSES):
-    """(weights, train losses, validation losses) of the allocating loop.
+    """(weights, train losses, validation losses, final loss) of the allocating loop.
 
     Full-batch gradient descent with the same init, objective, early
     stopping and best-weight restore as ``student.train``.
@@ -187,4 +188,5 @@ def train(corpus, params, classes=None, validation=None, vocabulary=CHORD_CLASSE
                     break
     if best_w is not None:
         w = best_w
-    return w, train_losses, val_losses if use_val else None
+    final_loss = focal.sequence_loss(_softmax(x @ w.T), y, gamma, class_weight_vector=wvec)
+    return w, train_losses, val_losses if use_val else None, final_loss

@@ -44,6 +44,8 @@ class TestAugmentSpec:
             {"semitone_range": (-12, 0)},
             {"semitone_range": (0, 12)},
             {"noise_sigma": -0.1},
+            {"noise_sigma": float("inf")},
+            {"noise_sigma": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, outputs, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -367,6 +368,22 @@ class TestRunAndCompare:
                                    "run", "--config", str(bad))
             assert code == cli.EXIT_DATA
             assert message in err
+
+    def test_run_config_with_non_finite_values(self, capsys, tmp_path, experiment_config):
+        raw = json.loads(experiment_config.read_text())
+        for edit, message in (
+            ({"augment": {"noise_sigma": math.inf}}, "noise sigma must be finite and >= 0, got inf"),
+            ({"learning_rate": math.inf}, "learning rate must be finite and positive, got inf"),
+            ({"min_length": math.nan}, "min_length must be finite and positive, got nan"),
+        ):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({**raw, **edit}))  # written as JSON Infinity / NaN
+            assert "Infinity" in bad.read_text() or "NaN" in bad.read_text()
+            code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
+                                   "run", "--config", str(bad))
+            assert code == cli.EXIT_DATA
+            assert message in err
+        assert not (tmp_path / "out" / "reports.json").exists()
 
     def test_run_config_with_wrong_typed_values(self, capsys, tmp_path, experiment_config):
         raw = json.loads(experiment_config.read_text())

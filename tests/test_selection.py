@@ -61,6 +61,10 @@ class TestConfig:
         [
             {"min_length": 0.0, "labeled_total": 1.0},
             {"min_length": 8.0, "labeled_total": -1.0},
+            {"min_length": float("inf"), "labeled_total": 1.0},
+            {"min_length": float("nan"), "labeled_total": 1.0},
+            {"min_length": 8.0, "labeled_total": float("inf")},
+            {"min_length": 8.0, "labeled_total": float("nan")},
             {"min_length": 8.0, "labeled_total": 1.0, "confidence_threshold": 1.5},
             {"min_length": 8.0, "labeled_total": 1.0, "rare_classes": ()},
             {"min_length": 8.0, "labeled_total": 1.0, "rare_classes": ("N",)},

@@ -1,12 +1,17 @@
 """Toy softmax classifier: training determinism, smoothing, serialization."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordbalance import focal, student
 from chordbalance.chords import CHORD_CLASSES, map_to_class, parse_chord_label
 from chordbalance.annotations import Interval, TimedLabelSequence
 from chordbalance.student import (
@@ -214,13 +219,28 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainParams(learning_rate=0.0)
         with pytest.raises(ValueError):
+            TrainParams(learning_rate=float("inf"))
+        with pytest.raises(ValueError):
+            TrainParams(learning_rate=float("nan"))
+        with pytest.raises(ValueError):
             TrainParams(epochs=-1)
         with pytest.raises(ValueError):
             TrainParams(patience=0)
 
 
 class TestMatchesAllocatingLoop:
-    """The buffer-reusing trainer against the loop that allocates every epoch."""
+    """The blocked, buffer-reusing trainer against the loop that allocates every epoch."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        corpus = noisy_corpus(n_tracks=14, sigma=0.5)
+        val = noisy_corpus(n_tracks=15, seed=10, sigma=0.5)
+        n = sum(len(track) for track, _ in corpus)
+        # three row blocks or more, the last one ragged, and a validation
+        # set longer than the training set
+        assert n > 2 * student._BLOCK_ROWS and n % student._BLOCK_ROWS
+        assert sum(len(track) for track, _ in val) > n
+        return corpus, val
 
     @pytest.mark.parametrize(
         "params,with_val",
@@ -232,16 +252,56 @@ class TestMatchesAllocatingLoop:
         ],
         ids=["focal", "weighted-ce", "patience"],
     )
-    def test_weights_and_losses(self, params, with_val):
-        corpus = noisy_corpus(n_tracks=2, sigma=0.5)
-        val = noisy_corpus(n_tracks=2, seed=10, sigma=0.5) if with_val else None
+    def test_weights_and_losses(self, corpora, params, with_val):
+        corpus, val = corpora
+        val = val if with_val else None
         result = train(corpus, params, validation=val)
-        weights, train_losses, val_losses = oracles.train(corpus, params, validation=val)
+        weights, train_losses, val_losses, final_loss = oracles.train(corpus, params, validation=val)
         np.testing.assert_allclose(result.model.weights, weights, rtol=1e-12)
         np.testing.assert_allclose(result.train_losses, train_losses, rtol=1e-12)
+        np.testing.assert_allclose(result.final_loss, final_loss, rtol=1e-12)
         if with_val:
             assert len(result.val_losses) < params.epochs  # patience fired
             np.testing.assert_allclose(result.val_losses, val_losses, rtol=1e-12)
+
+    def test_clamp_count_matches(self, corpora):
+        # A saturating step drives true-class probabilities under the floor.
+        corpus, val = corpora
+        params = TrainParams(learning_rate=1e5, epochs=4, seed=2, loss="focal", patience=10)
+        focal.reset_clamp_count()
+        train(corpus, params, validation=val)
+        blocked = focal.clamp_count()
+        focal.reset_clamp_count()
+        oracles.train(corpus, params, validation=val)
+        assert blocked > 0
+        assert blocked == focal.clamp_count()
+
+
+_ONE_CPU_TRAIN = """
+import os, sys
+import numpy as np  # BLAS starts with the parent's thread count
+sys.path[:0] = sys.argv[1:3]
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from chordbalance.student import TrainParams, _workers, train
+from test_student import noisy_corpus
+assert _workers(10) == 1
+params = TrainParams(learning_rate=2.0, epochs=20, seed=5, loss="focal")
+sys.stdout.write(train(noisy_corpus(n_tracks=14, sigma=0.5), params).model.weights.tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="os.sched_setaffinity is not available")
+def test_weights_do_not_depend_on_worker_count():
+    """A child limited to one CPU runs every block on one worker and gets the same bytes."""
+    tests_dir = Path(__file__).parent
+    src_dir = Path(student.__file__).parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_TRAIN, str(src_dir), str(tests_dir)],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    params = TrainParams(learning_rate=2.0, epochs=20, seed=5, loss="focal")
+    weights = train(noisy_corpus(n_tracks=14, sigma=0.5), params).model.weights
+    assert child.stdout == weights.tobytes().hex()
 
 
 class TestEarlyStopping:

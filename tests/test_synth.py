@@ -87,8 +87,12 @@ class TestCorpusSpec:
         [
             {"n_tracks": 0},
             {"frame_rate": 0.0},
+            {"frame_rate": float("inf")},
             {"noise_sigma": -0.1},
+            {"noise_sigma": float("inf")},
             {"track_length_range": (0.0, 60.0)},
+            {"track_length_range": (60.0, float("inf"))},
+            {"chord_duration_range": (1.0, float("nan"))},
             {"chord_duration_range": (4.0, 1.0)},
             {"track_length_range": (60.0, 90.0), "chord_duration_range": (100.0, 120.0)},
             {"class_distribution": {"maj": 0.5}},
