@@ -60,6 +60,8 @@ def frame_losses(probs: np.ndarray, y: np.ndarray, gamma: float,
     the true class per frame; ``gamma`` >= 0, 0 being cross-entropy;
     ``weights`` an optional per-frame weight, usually the class weight of
     the frame's target.  ``out`` (n_frames,) receives ``w * FL(p_t)``.
+    Every step runs in the dtype of ``probs``, float32 or float64, when
+    ``weights`` and ``out`` share it.
     With ``grad``, each row of ``probs`` is overwritten with the gradient
     of its frame's weighted loss in the logits.  A frame clamped at the
     floor keeps, to about 1e-10, the gradient of its unclamped loss: its
@@ -69,10 +71,11 @@ def frame_losses(probs: np.ndarray, y: np.ndarray, gamma: float,
     Returns the number of clamped frames, for the caller to note: nothing
     global is touched, so disjoint row blocks can run on separate threads.
     """
+    gamma = float(gamma)  # a NumPy float64 scalar would upcast float32 rows
     rows = np.arange(y.shape[0])
-    p_t = probs[rows, y]
-    clamps = int(np.count_nonzero(p_t < PROB_FLOOR))
-    p_t = np.clip(p_t, PROB_FLOOR, 1.0)
+    p_raw = probs[rows, y]
+    clamps = int(np.count_nonzero(p_raw < PROB_FLOOR))
+    p_t = np.clip(p_raw, PROB_FLOOR, 1.0)
     modulation = (1.0 - p_t) ** gamma
     log_p = np.log(p_t)
     np.multiply(modulation, -log_p, out=out)
@@ -91,9 +94,9 @@ def frame_losses(probs: np.ndarray, y: np.ndarray, gamma: float,
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = gamma * p_t * u ** (gamma - 1.0) * log_p - modulation
         # The factor's limit for p_t -> 1 is 0 for every gamma > 0.
-        np.negative(probs, out=probs)
-        probs[rows, y] += 1.0
-        probs *= np.where(u > 0, factor, 0.0)[:, None]
+        factor = np.where(u > 0, factor, 0.0)
+        probs *= -factor[:, None]
+        probs[rows, y] = (1.0 - p_raw) * factor
     if weights is not None:
         probs *= weights[:, None]
     return clamps
@@ -105,9 +108,9 @@ def loss_and_logit_grad(probs: np.ndarray, y: np.ndarray, gamma: float,
     per-frame logit gradient (see :func:`frame_losses`); the gradient of
     the mean is that array divided by ``n_frames``.
     """
-    losses = np.empty(y.shape[0])
+    losses = np.empty(y.shape[0], probs.dtype)
     _note_clamps(frame_losses(probs, y, gamma, weights, losses, grad=True))
-    return float(losses.mean()), probs
+    return float(losses.mean(dtype=np.float64)), probs
 
 
 def sequence_loss(frames: np.ndarray, targets: np.ndarray, gamma: float,

@@ -187,6 +187,12 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
                 f"stage 'load-corpora' failed at iteration 0: "
                 f"{name} corpus shares tracks with the test corpus: {leaked}"
             )
+    rates = {name: corpus[0][0].frame_rate
+             for name, corpus in (("labeled", labeled), ("unlabeled", unlabeled), ("test", test)) if corpus}
+    if len(set(rates.values())) > 1:
+        raise PipelineError(
+            f"stage 'load-corpora' failed at iteration 0: corpora differ in frame rate: {rates}"
+        )
 
     # One split per run; every iteration trains against the same validation set.
     split_rng = np.random.default_rng(derive_seed(config.seed, "split"))

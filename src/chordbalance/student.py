@@ -7,6 +7,10 @@ enough to rerun many times, which is what the surrounding experiment
 loop actually needs; the interesting behaviour lives in the data, not
 the classifier.
 
+Training passes (logits, softmax, loss and gradient of every frame) run
+in float32; the weights they update stay float64, and so do posteriors,
+predictions and saved models.
+
 Model classes are root-qualified vocabulary classes rendered as chord
 labels ("C:maj" ... "B:hdim7", plus "N"), because a linear model on raw
 chroma cannot be root-invariant.  Mapping any model class through the
@@ -56,8 +60,10 @@ __all__ = [
 N_CHROMA = 12
 _INIT_SCALE = 0.01
 # Rows per block of a training pass: a block of logits (2,048 x 109
-# doubles, 1.7 MiB) stays in L2 cache through its softmax and loss.
+# floats, 0.9 MiB) stays in L2 cache through its softmax and loss.
 _BLOCK_ROWS = 2048
+# Every per-frame array of a training pass; the master weights stay float64.
+_PASS_DTYPE = np.float32
 
 
 @dataclass
@@ -170,6 +176,7 @@ class TrainResult:
     epochs_run: int
     train_losses: list[float]
     val_losses: list[float] | None
+    clamps: int  # probability-floor clamps over every pass of the call
 
 
 @dataclass(frozen=True)
@@ -205,22 +212,24 @@ def _block_losses(z, y, gamma, weights, out, grad) -> int:
     return focal.frame_losses(_softmax(z), y, gamma, weights, out, grad)
 
 
-def _blocked_pass(pool, w, x, y, weights, gamma, buf, losses, grad) -> float:
-    """Mean focal loss of the rows of ``x``, computed in row blocks.
+def _blocked_pass(pool, w, x, y, weights, gamma, buf, losses, grad) -> tuple[float, int]:
+    """Mean focal loss of the rows of ``x`` and its clamp count, in row blocks.
 
+    The pass runs in the dtype of ``x``, to which ``w`` is cast once.
     This thread runs each block's product into ``buf`` and hands its
     softmax and per-frame losses to ``pool``, so BLAS runs here only,
     beside the workers.  Every row and the mean come out as in one
     unblocked pass; with ``grad``, ``buf`` then holds the logit gradient.
     """
+    w = w.astype(x.dtype)
     jobs = []
     for a in range(0, len(x), _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, len(x))
         z = np.matmul(x[a:b], w.T, out=buf[a:b])
         jobs.append(pool.submit(_block_losses, z, y[a:b], gamma,
                                 None if weights is None else weights[a:b], losses[a:b], grad))
-    focal._note_clamps(sum(job.result() for job in jobs))
-    return float(losses[:len(x)].mean())
+    clamps = sum(job.result() for job in jobs)
+    return float(losses[:len(x)].mean(dtype=np.float64)), clamps
 
 
 def init_model(classes: Sequence[str], params: TrainParams) -> ClassifierModel:
@@ -284,18 +293,21 @@ def train(
     With ``params.patience`` set and a validation corpus given, training
     stops once the validation loss has not improved for that many epochs
     and the best-validation weights are restored.  Zero epochs return
-    the freshly initialized model unchanged.
+    the freshly initialized model unchanged.  Each pass runs in float32
+    and its weight step is widened to the float64 weights.
     """
     if not corpus:
         raise ValueError("empty training corpus")
     classes = tuple(classes) if classes is not None else default_model_classes()
     wvec = _class_weight_vector(classes, params.class_weights, vocabulary)
+    if wvec is not None:
+        wvec = wvec.astype(_PASS_DTYPE)
 
     def design(tracks):
         """Inputs with a bias column, targets and per-frame weights."""
-        features = np.vstack([track.frames for track, _ in tracks])
         y = np.concatenate([frame_targets(track, labels, classes, vocabulary) for track, labels in tracks])
-        x = np.hstack([features, np.ones((features.shape[0], 1))])
+        x = np.ones((len(y), N_CHROMA + 1), _PASS_DTYPE)
+        np.concatenate([track.frames for track, _ in tracks], out=x[:, :N_CHROMA])
         return x, y, wvec[y] if wvec is not None else None
 
     x, y, frame_w = design(corpus)
@@ -309,7 +321,7 @@ def train(
     # x.T is laid out once: ``xT @ grad`` runs the step's product along its
     # long axis and is bit-equal to ``grad.T @ x`` at one BLAS thread.
     rows = max(n, len(vx)) if use_val else n
-    buf, losses = np.empty((rows, len(classes))), np.empty(rows)
+    buf, losses = np.empty((rows, len(classes)), _PASS_DTYPE), np.empty(rows, _PASS_DTYPE)
     xT = np.ascontiguousarray(x.T)
 
     w = init_model(classes, params).weights
@@ -320,14 +332,19 @@ def train(
     best_epoch = 0
     stale = 0
     epochs_run = 0
+    clamps = 0
 
     with ThreadPoolExecutor(_workers(-(-rows // _BLOCK_ROWS))) as pool:
         def mean_loss(w, x, y, frame_w, grad=False):
-            return _blocked_pass(pool, w, x, y, frame_w, gamma, buf, losses, grad)
+            nonlocal clamps
+            loss, count = _blocked_pass(pool, w, x, y, frame_w, gamma, buf, losses, grad)
+            clamps += count
+            return loss
 
         for epoch in range(params.epochs):
             train_losses.append(mean_loss(w, x, y, frame_w, grad=True))
-            w = w - params.learning_rate * (xT @ buf[:n]).T / n
+            step = (xT @ buf[:n]).T.astype(np.float64)
+            w = w - params.learning_rate * step / n
             epochs_run = epoch + 1
 
             if use_val:
@@ -347,8 +364,9 @@ def train(
             w = best_w
             epochs_run = best_epoch
         final_loss = mean_loss(w, x, y, frame_w)
+    focal._note_clamps(clamps)
     model = ClassifierModel(classes, w, params)
-    return TrainResult(model, final_loss, epochs_run, train_losses, val_losses)
+    return TrainResult(model, final_loss, epochs_run, train_losses, val_losses, clamps)
 
 
 def predict_segments(

@@ -17,6 +17,7 @@ class only 0.2 percent, and the remainder is no-chord.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -208,7 +209,11 @@ def save_corpus(
 
 
 def load_corpus(directory: str | Path) -> tuple[list[tuple[FeatureTrack, TimedLabelSequence]], dict]:
-    """Load a corpus directory written by :func:`save_corpus`."""
+    """Load a corpus directory written by :func:`save_corpus`.
+
+    Track ids name files inside ``directory``, so each must be a plain,
+    unique file name.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -216,6 +221,12 @@ def load_corpus(directory: str | Path) -> tuple[list[tuple[FeatureTrack, TimedLa
     manifest = json.loads(manifest_path.read_text("utf-8"))
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported corpus format {manifest.get('format')!r} in {directory}")
+    for tid in manifest["tracks"]:
+        if not isinstance(tid, str) or tid in ("", ".", "..") or "/" in tid or "\\" in tid:
+            raise ValueError(f"track id {tid!r} in {manifest_path} is not a plain file name")
+    repeated = sorted(tid for tid, count in Counter(manifest["tracks"]).items() if count > 1)
+    if repeated:
+        raise ValueError(f"repeated track ids in {manifest_path}: {repeated}")
     corpus = []
     for tid in manifest["tracks"]:
         frames = np.loadtxt(directory / f"{tid}.csv", delimiter=",", ndmin=2)

@@ -147,38 +147,42 @@ def _softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def train(corpus, params, classes=None, validation=None, vocabulary=CHORD_CLASSES):
+def train(corpus, params, classes=None, validation=None, vocabulary=CHORD_CLASSES, dtype=np.float64):
     """(weights, train losses, validation losses, final loss) of the allocating loop.
 
     Full-batch gradient descent with the same init, objective, early
-    stopping and best-weight restore as ``student.train``.
+    stopping and best-weight restore as ``student.train``.  Every pass
+    runs in ``dtype``: inputs, frame weights and a copy of the weights
+    are cast to it, and the weight step is widened to the float64 weights.
     """
     classes = tuple(classes) if classes is not None else default_model_classes()
+    wvec = _class_weight_vector(classes, params.class_weights, vocabulary)
+    gamma = params.gamma if params.loss == "focal" else 0.0
 
     def design(tracks):
         features = np.vstack([track.frames for track, _ in tracks])
-        x = np.hstack([features, np.ones((features.shape[0], 1))])
+        x = np.hstack([features, np.ones((features.shape[0], 1))]).astype(dtype)
         y = np.concatenate([frame_targets(track, labels, classes, vocabulary) for track, labels in tracks])
-        return x, y
+        return x, y, wvec[y].astype(dtype) if wvec is not None else None
 
-    x, y = design(corpus)
+    def loss_and_grad(w, x, y, frame_w):
+        return focal.loss_and_logit_grad(_softmax(x @ w.astype(dtype).T), y, gamma, frame_w)
+
+    x, y, frame_w = design(corpus)
     n = x.shape[0]
-    wvec = _class_weight_vector(classes, params.class_weights, vocabulary)
-    frame_w = wvec[y] if wvec is not None else None
     use_val = bool(validation) and params.patience is not None
     if use_val:
-        vx, vy = design(validation)
-    gamma = params.gamma if params.loss == "focal" else 0.0
+        vx, vy, vframe_w = design(validation)
 
     w = init_model(classes, params).weights
     train_losses, val_losses = [], []
     best_val, best_w, stale = np.inf, None, 0
     for _ in range(params.epochs):
-        loss, grad = focal.loss_and_logit_grad(_softmax(x @ w.T), y, gamma, frame_w)
+        loss, grad = loss_and_grad(w, x, y, frame_w)
         train_losses.append(loss)
-        w = w - params.learning_rate * (grad.T @ x) / n
+        w = w - params.learning_rate * (grad.T @ x).astype(np.float64) / n
         if use_val:
-            vloss = focal.sequence_loss(_softmax(vx @ w.T), vy, gamma, class_weight_vector=wvec)
+            vloss = loss_and_grad(w, vx, vy, vframe_w)[0]
             val_losses.append(vloss)
             if vloss < best_val:
                 best_val, best_w, stale = vloss, w.copy(), 0
@@ -188,5 +192,5 @@ def train(corpus, params, classes=None, validation=None, vocabulary=CHORD_CLASSE
                     break
     if best_w is not None:
         w = best_w
-    final_loss = focal.sequence_loss(_softmax(x @ w.T), y, gamma, class_weight_vector=wvec)
+    final_loss = loss_and_grad(w, x, y, frame_w)[0]
     return w, train_losses, val_losses if use_val else None, final_loss

@@ -347,6 +347,19 @@ class TestRunAndCompare:
         assert code == cli.EXIT_DATA
         assert "load-corpora" in err
 
+    def test_run_rejects_corpora_with_different_frame_rates(self, capsys, tmp_path, experiment_config):
+        spec = CorpusSpec(n_tracks=2, track_length_range=(15.0, 20.0), frame_rate=20.0, seed=73,
+                          track_prefix="eval")
+        save_corpus(tmp_path / "test20", generate_corpus(spec), spec)
+        raw = json.loads(experiment_config.read_text())
+        raw["test_dir"] = str(tmp_path / "test20")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
+                               "run", "--config", str(bad))
+        assert code == cli.EXIT_DATA
+        assert "stage 'load-corpora' failed at iteration 0: corpora differ in frame rate" in err
+
     def test_run_config_without_required_field(self, capsys, tmp_path, experiment_config):
         raw = json.loads(experiment_config.read_text())
         del raw["labeled_dir"]

@@ -8,6 +8,7 @@ import pytest
 from chordbalance.focal import (
     PROB_FLOOR,
     clamp_count,
+    frame_losses,
     loss_and_logit_grad,
     reset_clamp_count,
     sequence_loss,
@@ -171,6 +172,59 @@ class TestGradient:
         assert grad is probs
         assert loss == pytest.approx(expected_loss, rel=1e-12)
         np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
+
+    @staticmethod
+    def _block(dtype, seed=12):
+        """A training-sized block of softmax rows, targets and frame weights;
+        the first rows' true-class probabilities lie below the floor."""
+        rng = np.random.default_rng(seed)
+        n, k = 2048, 109
+        z = rng.normal(0.0, 3.0, (n, k))
+        y = rng.integers(k, size=n)
+        z[np.arange(16), y[:16]] -= 60.0
+        probs = softmax(z).astype(dtype)
+        return probs, y, rng.uniform(0.2, 3.0, n).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 5.0])
+    def test_one_pass_gradient_matches_three_passes(self, dtype, gamma):
+        # Reference: negate every entry, add 1 at the target, scale by the factor.
+        probs, y, weights = self._block(dtype)
+        rows = np.arange(len(y))
+        p_t = np.clip(probs[rows, y], PROB_FLOOR, 1.0)
+        u = 1.0 - p_t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = gamma * p_t * u ** (gamma - 1.0) * np.log(p_t) - u ** gamma
+        expected = -probs
+        expected[rows, y] += 1.0
+        expected *= np.where(u > 0, factor, 0.0)[:, None]
+        expected *= weights[:, None]
+        grad = probs.copy()
+        frame_losses(grad, y, gamma, weights, np.empty(len(y), dtype), grad=True)
+        assert np.array_equal(grad, expected)
+
+    def test_float32_rows_stay_float32(self):
+        probs, y, weights = self._block(np.float32)
+
+        def run(rows, gamma, weights):
+            out = np.empty(len(y), rows.dtype)
+            grad = rows.copy()
+            frame_losses(grad, y, gamma, weights, out, grad=True)
+            return out, grad
+
+        out, grad = run(probs, 2.0, weights)
+        wide_out, wide_grad = run(probs.astype(np.float64), 2.0, weights.astype(np.float64))
+        # float32 arithmetic, not float64 arithmetic rounded at the end
+        assert not np.array_equal(out, wide_out.astype(np.float32))
+        assert not np.array_equal(grad, wide_grad.astype(np.float32))
+        np.testing.assert_allclose(out, wide_out, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(grad, wide_grad, rtol=1e-4, atol=1e-6)
+        # a NumPy float64 gamma does not widen any step
+        numpy_out, numpy_grad = run(probs, np.float64(2.0), weights)
+        assert np.array_equal(numpy_out, out) and np.array_equal(numpy_grad, grad)
+        loss, batch_grad = loss_and_logit_grad(probs.copy(), y, 2.0, weights)
+        assert batch_grad.dtype == np.float32
+        assert loss == float(out.mean(dtype=np.float64))
 
 
 class TestFocalScalars:

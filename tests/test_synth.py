@@ -215,3 +215,22 @@ class TestPersistence:
         (tmp_path / "manifest.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(ValueError, match="format"):
             load_corpus(tmp_path)
+
+    @staticmethod
+    def _with_tracks(directory, tracks):
+        spec = CorpusSpec(n_tracks=2, track_length_range=(12.0, 15.0), seed=3, track_prefix="rt")
+        save_corpus(directory, generate_corpus(spec), spec)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest["tracks"] = tracks
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("tid", ["", ".", "..", "../rt-0000", "sub/rt-0000", "sub\\rt-0000", 7])
+    def test_load_rejects_track_id_that_is_not_a_file_name(self, tmp_path, tid):
+        self._with_tracks(tmp_path, ["rt-0000", tid])
+        with pytest.raises(ValueError, match="not a plain file name"):
+            load_corpus(tmp_path)
+
+    def test_load_rejects_repeated_track_ids(self, tmp_path):
+        self._with_tracks(tmp_path, ["rt-0000", "rt-0001", "rt-0000"])
+        with pytest.raises(ValueError, match=r"repeated track ids .*\['rt-0000'\]"):
+            load_corpus(tmp_path)
