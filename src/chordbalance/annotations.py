@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .chords import (
-    CHORD_CLASSES,
     ChordLabel,
     ChordParseError,
     label_to_string,
@@ -177,11 +176,7 @@ def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     return merged
 
 
-def per_class_overlap(
-    pred: TimedLabelSequence,
-    ref: TimedLabelSequence,
-    vocabulary: Sequence[str] = CHORD_CLASSES,
-) -> dict[str, tuple[float, float]]:
+def per_class_overlap(pred: TimedLabelSequence, ref: TimedLabelSequence) -> dict[str, tuple[float, float]]:
     """Per reference class: (reference duration, correctly labelled duration).
 
     Scoring is restricted to time covered by the reference.  Reference
@@ -189,12 +184,12 @@ def per_class_overlap(
     gaps in the predictions simply count as unmatched time.  Computed by
     an exact boundary sweep over both segment lists.
     """
-    pred_spans = [(iv.start, iv.end, map_to_class(lab, vocabulary)) for iv, lab in pred.segments]
+    pred_spans = [(iv.start, iv.end, map_to_class(lab)) for iv, lab in pred.segments]
     totals: dict[str, float] = {}
     matched: dict[str, float] = {}
     i = 0
     for iv, lab in ref.segments:
-        ref_cls = map_to_class(lab, vocabulary)
+        ref_cls = map_to_class(lab)
         if ref_cls == "X":
             continue
         totals[ref_cls] = totals.get(ref_cls, 0.0) + iv.duration

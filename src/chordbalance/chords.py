@@ -7,10 +7,10 @@ with any number of ``#``/``b`` modifiers and collapse enharmonically
 onto pitch classes 0 to 11 with C = 0, so ``C#`` and ``Db`` are the same
 chord.  A bare root such as ``C`` means ``C:maj``.
 
-Evaluation works on a small closed vocabulary of chord classes.  Every
-quality reduces to one class through a plain-text table shipped with the
-package (``data/quality_classes.txt``); qualities without a table row,
-and classes outside the caller's vocabulary, fall back to ``X``.
+Evaluation works on one fixed, closed vocabulary of chord classes,
+``CHORD_CLASSES``.  Every quality reduces to one class through a
+plain-text table shipped with the package (``data/quality_classes.txt``);
+qualities without a table row fall back to ``X``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Final, Sequence
+from typing import Final
 
 __all__ = [
     "CHORD_CLASSES",
@@ -255,19 +255,14 @@ def transpose(label: ChordLabel, semitones: int) -> ChordLabel:
     return ChordLabel("chord", (label.root + semitones) % 12, label.quality, label.bass)
 
 
-def map_to_class(label: ChordLabel, vocabulary: Sequence[str] = CHORD_CLASSES) -> str:
-    """Reduce a label to its evaluation class within ``vocabulary``.
+def map_to_class(label: ChordLabel) -> str:
+    """Reduce a label to its class in ``CHORD_CLASSES``.
 
-    The bass is ignored.  Qualities with no reduction-table row, and
-    classes missing from ``vocabulary``, map to ``X``.
+    The bass is ignored.  Qualities with no reduction-table row map to
+    ``X``.
     """
-    if "N" not in vocabulary or "X" not in vocabulary:
-        raise ValueError("vocabulary must contain N and X")
     if label.kind == "no_chord":
         return "N"
     if label.kind == "unknown":
         return "X"
-    cls = QUALITY_CLASS_TABLE.get(label.quality)
-    if cls is None or cls not in vocabulary:
-        return "X"
-    return cls
+    return QUALITY_CLASS_TABLE.get(label.quality, "X")

@@ -90,7 +90,7 @@ class PerTypeLedger:
         return sum(self.matched.values()) / total
 
 
-def wcsr_per_type(pairs: Iterable[TrackPair], vocabulary: Sequence[str] = CHORD_CLASSES) -> PerTypeLedger:
+def wcsr_per_type(pairs: Iterable[TrackPair]) -> PerTypeLedger:
     """Accumulate the per-class ledger over a corpus of track pairs.
 
     Every corpus score reads this ledger; it is the one caller of
@@ -98,13 +98,13 @@ def wcsr_per_type(pairs: Iterable[TrackPair], vocabulary: Sequence[str] = CHORD_
     """
     ledger = PerTypeLedger()
     for pair in pairs:
-        for cls, (total, match) in per_class_overlap(pair.pred, pair.ref, vocabulary).items():
+        for cls, (total, match) in per_class_overlap(pair.pred, pair.ref).items():
             ledger.totals[cls] = ledger.totals.get(cls, 0.0) + total
             ledger.matched[cls] = ledger.matched.get(cls, 0.0) + match
     return ledger
 
 
-def csr(pair: TrackPair, vocabulary: Sequence[str] = CHORD_CLASSES) -> float:
+def csr(pair: TrackPair) -> float:
     """Chord symbol recall of a single track, in [0, 1].
 
     Raises
@@ -112,16 +112,16 @@ def csr(pair: TrackPair, vocabulary: Sequence[str] = CHORD_CLASSES) -> float:
     ValueError
         If the reference has no in-vocabulary duration.
     """
-    ledger = wcsr_per_type([pair], vocabulary)
+    ledger = wcsr_per_type([pair])
     try:
         return ledger.recall()
     except ValueError:
         raise ValueError(f"empty reference for track {pair.ref.track_id!r}") from None
 
 
-def wcsr(pairs: Iterable[TrackPair], vocabulary: Sequence[str] = CHORD_CLASSES) -> float:
+def wcsr(pairs: Iterable[TrackPair]) -> float:
     """Reference-duration weighted CSR over a corpus of track pairs."""
-    return wcsr_per_type(pairs, vocabulary).recall()
+    return wcsr_per_type(pairs).recall()
 
 
 def acqa(ledger: PerTypeLedger) -> float:
@@ -136,10 +136,7 @@ def acqa(ledger: PerTypeLedger) -> float:
     return sum(scores.values()) / len(scores)
 
 
-def type_distribution(
-    sequences: Iterable[TimedLabelSequence],
-    vocabulary: Sequence[str] = CHORD_CLASSES,
-) -> dict[str, float]:
+def type_distribution(sequences: Iterable[TimedLabelSequence]) -> dict[str, float]:
     """Share of in-vocabulary annotated time per chord class.
 
     X time is excluded; N counts like any class.  Shares sum to 1.
@@ -147,7 +144,7 @@ def type_distribution(
     durations: dict[str, float] = {}
     for seq in sequences:
         for iv, lab in seq.segments:
-            cls = map_to_class(lab, vocabulary)
+            cls = map_to_class(lab)
             if cls == "X":
                 continue
             durations[cls] = durations.get(cls, 0.0) + iv.duration
@@ -185,17 +182,14 @@ class MetricsReport:
         ]
 
 
-def compute_report(
-    pairs: Sequence[TrackPair],
-    vocabulary: Sequence[str] = CHORD_CLASSES,
-) -> MetricsReport:
+def compute_report(pairs: Sequence[TrackPair]) -> MetricsReport:
     """Evaluate a corpus of track pairs into a single report."""
-    ledger = wcsr_per_type(pairs, vocabulary)
+    ledger = wcsr_per_type(pairs)
     return MetricsReport(
         wcsr=ledger.recall(),
         acqa=acqa(ledger),
         per_type=ledger.scores(),
-        distribution=type_distribution((pair.ref for pair in pairs), vocabulary),
+        distribution=type_distribution(pair.ref for pair in pairs),
     )
 
 

@@ -28,7 +28,6 @@ from . import student
 from ._config import JsonConfig, load_config
 from .annotations import Interval, TimedLabelSequence
 from .augment import AugmentSpec, add_noise, derive_seed, draw_semitones, pitch_shift
-from .chords import CHORD_CLASSES
 from .metrics import MetricsReport, TrackPair, _write_csv, compute_report
 from .selection import (
     DEFAULT_RARE_CLASSES,
@@ -203,8 +202,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
     selection = replace(config._selection,
                         labeled_total=sum(track.duration for track, _ in train_split))
 
-    classes = student.default_model_classes()
-    vocabulary = CHORD_CLASSES
     unlabeled_durations = {track.track_id: track.duration for track, _ in unlabeled}
 
     reports: list[IterationReport] = []
@@ -221,10 +218,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
                 lambda: [predict_segments(teacher, track, config.smoothing_window)
                          for track, _ in unlabeled],
             )
-            dataset, selection_report = _stage(
-                "select", k, select_balanced_subset, pseudo, unlabeled_durations,
-                selection, vocabulary,
-            )
+            dataset, selection_report = _stage("select", k, select_balanced_subset,
+                                               pseudo, unlabeled_durations, selection)
             pseudo_by_track = {ps.sequence.track_id: ps for ps in pseudo}
             track_by_id = {track.track_id: track for track, _ in unlabeled}
 
@@ -256,8 +251,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
             corpus = list(train_split) + excerpt_corpus
 
         params = replace(config._train_params, seed=derive_seed(config.seed, f"train-{k}"))
-        result = _stage("train", k, student.train, corpus, params, classes,
-                        val_split or None, vocabulary)
+        result = _stage("train", k, student.train, corpus, params, val_split or None)
         current_model = result.model
         model_path = f"models/iter_{k}.json"
         save_model(current_model, out / model_path)
@@ -269,7 +263,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
                 for track, ref in test
             ],
         )
-        metrics = _stage("evaluate", k, compute_report, pairs, vocabulary)
+        metrics = _stage("evaluate", k, compute_report, pairs)
         reports.append(IterationReport(
             iteration=k,
             metrics=metrics,

@@ -118,13 +118,6 @@ class ExcerptDataset:
     def total_duration(self) -> float:
         return sum(iv.duration for ivs in self.intervals.values() for iv in ivs)
 
-    def provenance(self, track_id: str, excerpt: Interval) -> tuple[SelectionEvent, ...]:
-        """Events whose window overlaps the given excerpt."""
-        return tuple(
-            ev for ev in self.events
-            if ev.track_id == track_id and ev.window.overlaps(excerpt)
-        )
-
 
 def compute_desired_duration(labeled_total: float, rare_present: int) -> float:
     """Per-class time budget: labeled duration split over present rare classes."""
@@ -141,7 +134,8 @@ def _window(seed: Interval, min_length: float, track_length: float) -> Interval:
         return Interval(0.0, track_length)
     start = 0.5 * (seed.start + seed.end) - 0.5 * min_length
     start = min(max(start, 0.0), track_length - min_length)
-    return Interval(start, start + min_length)
+    # (track_length - min_length) + min_length can round one ulp past the end
+    return Interval(start, min(start + min_length, track_length))
 
 
 def _covered(intervals: Sequence[Interval], window: Interval) -> float:
@@ -154,7 +148,6 @@ def select_balanced_subset(
     pseudolabels: Sequence[PredictedSegments],
     track_durations: Mapping[str, float],
     config: SelectionConfig,
-    vocabulary: Sequence[str] = CHORD_CLASSES,
 ) -> tuple[ExcerptDataset, SelectionReport]:
     """Select a rare-class-balanced excerpt dataset from pseudolabels.
 
@@ -179,7 +172,7 @@ def select_balanced_subset(
         if tid not in track_durations:
             raise ValueError(f"no known duration for track {tid!r}")
         for (iv, lab), conf in zip(ps.sequence.segments, ps.confidences):
-            cls = map_to_class(lab, vocabulary)
+            cls = map_to_class(lab)
             pool[cls] = pool.get(cls, 0.0) + iv.duration
             if cls in rare and conf > config.confidence_threshold:
                 candidates.setdefault(cls, []).append((conf, tid, iv))
@@ -226,7 +219,6 @@ def select_balanced_subset(
 def distribution_of_selection(
     dataset: ExcerptDataset,
     pseudolabels: Sequence[PredictedSegments],
-    vocabulary: Sequence[str] = CHORD_CLASSES,
 ) -> dict[str, float]:
     """Class share of pseudolabel time inside the selected excerpts."""
     if not dataset.intervals:
@@ -237,7 +229,7 @@ def distribution_of_selection(
         for iv, lab in ps.sequence.segments:
             inside = _covered(ivs, iv)
             if inside > 0:
-                cls = map_to_class(lab, vocabulary)
+                cls = map_to_class(lab)
                 acc[cls] = acc.get(cls, 0.0) + inside
     total = sum(acc.values())
     if total <= 0:

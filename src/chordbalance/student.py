@@ -135,6 +135,9 @@ class TrainParams(JsonConfig):
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         for cls, w in (self.class_weights or {}).items():
+            if cls not in CHORD_CLASSES or cls == "X":
+                raise ValueError(f"class weight for unknown class {cls!r}; "
+                                 f"classes are {', '.join(c for c in CHORD_CLASSES if c != 'X')}")
             if not (w >= 0 and math.isfinite(w)):
                 raise ValueError(f"class weight for {cls!r} must be finite and >= 0, got {w}")
 
@@ -239,22 +242,17 @@ def init_model(classes: Sequence[str], params: TrainParams) -> ClassifierModel:
     return ClassifierModel(tuple(classes), weights, params)
 
 
-def _model_class_of(label, vocabulary: Sequence[str]) -> str:
+def _model_class_of(label) -> str:
     """Model class name for a reference label; out of vocabulary folds to N."""
     if not label.is_chord:
         return "N"
-    cls = map_to_class(label, vocabulary)
+    cls = map_to_class(label)
     if cls in ("N", "X"):
         return "N"
     return f"{PITCH_NAMES[label.root]}:{REPRESENTATIVE_QUALITY[cls]}"
 
 
-def frame_targets(
-    track: FeatureTrack,
-    labels: TimedLabelSequence,
-    classes: Sequence[str],
-    vocabulary: Sequence[str] = CHORD_CLASSES,
-) -> np.ndarray:
+def frame_targets(track: FeatureTrack, labels: TimedLabelSequence, classes: Sequence[str]) -> np.ndarray:
     """Target class index per frame; uncovered frames fall to N.
 
     A frame belongs to the segment whose half-open span holds its
@@ -267,26 +265,20 @@ def frame_targets(
     times = track.frame_times()
     for iv, label in labels.segments:
         a, b = np.searchsorted(times, (iv.start, iv.end))
-        targets[a:b] = index.get(_model_class_of(label, vocabulary), n_index)
+        targets[a:b] = index.get(_model_class_of(label), n_index)
     return targets
 
 
-def _class_weight_vector(classes: Sequence[str], weights: dict[str, float] | None,
-                         vocabulary: Sequence[str]) -> np.ndarray | None:
+def _class_weight_vector(classes: Sequence[str], weights: dict[str, float] | None) -> np.ndarray | None:
     if weights is None:
         return None
-    return np.asarray(
-        [weights.get(map_to_class(parse_chord_label(c), vocabulary), 1.0) for c in classes],
-        dtype=float,
-    )
+    return np.asarray([weights.get(map_to_class(parse_chord_label(c)), 1.0) for c in classes], dtype=float)
 
 
 def train(
     corpus: Sequence[tuple[FeatureTrack, TimedLabelSequence]],
     params: TrainParams,
-    classes: Sequence[str] | None = None,
     validation: Sequence[tuple[FeatureTrack, TimedLabelSequence]] | None = None,
-    vocabulary: Sequence[str] = CHORD_CLASSES,
 ) -> TrainResult:
     """Full-batch gradient descent on the mean per-frame loss.
 
@@ -294,18 +286,19 @@ def train(
     stops once the validation loss has not improved for that many epochs
     and the best-validation weights are restored.  Zero epochs return
     the freshly initialized model unchanged.  Each pass runs in float32
-    and its weight step is widened to the float64 weights.
+    and its weight step is widened to the float64 weights.  The model
+    classes are :func:`default_model_classes`.
     """
     if not corpus:
         raise ValueError("empty training corpus")
-    classes = tuple(classes) if classes is not None else default_model_classes()
-    wvec = _class_weight_vector(classes, params.class_weights, vocabulary)
+    classes = default_model_classes()
+    wvec = _class_weight_vector(classes, params.class_weights)
     if wvec is not None:
         wvec = wvec.astype(_PASS_DTYPE)
 
     def design(tracks):
         """Inputs with a bias column, targets and per-frame weights."""
-        y = np.concatenate([frame_targets(track, labels, classes, vocabulary) for track, labels in tracks])
+        y = np.concatenate([frame_targets(track, labels, classes) for track, labels in tracks])
         x = np.ones((len(y), N_CHROMA + 1), _PASS_DTYPE)
         np.concatenate([track.frames for track, _ in tracks], out=x[:, :N_CHROMA])
         return x, y, wvec[y] if wvec is not None else None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from chordbalance.annotations import Interval, TimedLabelSequence, per_class_overlap
-from chordbalance.chords import CHORD_CLASSES, NO_CHORD, REPRESENTATIVE_QUALITY, UNKNOWN, chord, map_to_class
+from chordbalance.chords import NO_CHORD, REPRESENTATIVE_QUALITY, UNKNOWN, chord, map_to_class
 from chordbalance.student import PredictedSegments, frame_targets
 
 SCOREABLE = ("maj", "min", "7", "min7", "maj7", "dim", "hdim7", "aug", "sus", "N")
@@ -68,22 +68,22 @@ def pseudo_pool(rng, n_tracks, length_s, classes=SCOREABLE):
     return pool, durations
 
 
-def matched_duration(pred, ref, vocabulary=CHORD_CLASSES):
+def matched_duration(pred, ref):
     """Seconds on which prediction and reference agree at class level."""
-    return sum(m for _, m in per_class_overlap(pred, ref, vocabulary).values())
+    return sum(m for _, m in per_class_overlap(pred, ref).values())
 
 
-def reference_duration(ref, vocabulary=CHORD_CLASSES):
+def reference_duration(ref):
     """In-vocabulary reference duration (X segments excluded, N counts)."""
-    return sum(iv.duration for iv, lab in ref.segments if map_to_class(lab, vocabulary) != "X")
+    return sum(iv.duration for iv, lab in ref.segments if map_to_class(lab) != "X")
 
 
-def frame_accuracy(model, corpus, vocabulary=CHORD_CLASSES):
+def frame_accuracy(model, corpus):
     """Fraction of frames whose raw argmax matches the aligned target."""
     hits = 0
     total = 0
     for track, labels in corpus:
-        y = frame_targets(track, labels, model.classes, vocabulary)
+        y = frame_targets(track, labels, model.classes)
         pred = np.argmax(model.logits(track.frames), axis=1)
         hits += int((pred == y).sum())
         total += len(y)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from chordbalance import focal
-from chordbalance.chords import CHORD_CLASSES, map_to_class
+from chordbalance.chords import map_to_class
 from chordbalance.student import (
     N_CHROMA,
     _class_weight_vector,
@@ -32,11 +32,11 @@ from chordbalance.synth import CHORD_CLASS_INTERVALS, chord_template, no_chord_t
 STEP = 0.01
 
 
-def _spans(sequence, vocabulary):
-    return [(iv.start, iv.end, map_to_class(lab, vocabulary)) for iv, lab in sequence.segments]
+def _spans(sequence):
+    return [(iv.start, iv.end, map_to_class(lab)) for iv, lab in sequence.segments]
 
 
-def sampled_per_class(pred, ref, vocabulary=CHORD_CLASSES, step=STEP):
+def sampled_per_class(pred, ref, step=STEP):
     """Per-class (reference seconds, matched seconds) by midpoint sampling.
 
     Every 10 ms cell whose midpoint falls inside a reference segment
@@ -46,8 +46,8 @@ def sampled_per_class(pred, ref, vocabulary=CHORD_CLASSES, step=STEP):
     """
     if not ref.segments:
         return {}, {}
-    pred_spans = _spans(pred, vocabulary)
-    ref_spans = _spans(ref, vocabulary)
+    pred_spans = _spans(pred)
+    ref_spans = _spans(ref)
     end = ref.segments[-1][0].end
     totals: dict[str, float] = {}
     matched: dict[str, float] = {}
@@ -69,25 +69,25 @@ def sampled_per_class(pred, ref, vocabulary=CHORD_CLASSES, step=STEP):
     return totals, matched
 
 
-def sampled_csr(pred, ref, vocabulary=CHORD_CLASSES, step=STEP):
-    totals, matched = sampled_per_class(pred, ref, vocabulary, step)
+def sampled_csr(pred, ref, step=STEP):
+    totals, matched = sampled_per_class(pred, ref, step)
     total = sum(totals.values())
     if total <= 0:
         raise ValueError("oracle: empty reference")
     return sum(matched.values()) / total
 
 
-def sampled_matched(pred, ref, vocabulary=CHORD_CLASSES, step=STEP):
-    _, matched = sampled_per_class(pred, ref, vocabulary, step)
+def sampled_matched(pred, ref, step=STEP):
+    _, matched = sampled_per_class(pred, ref, step)
     return sum(matched.values())
 
 
-def sampled_corpus_scores(pairs, vocabulary=CHORD_CLASSES, step=STEP):
+def sampled_corpus_scores(pairs, step=STEP):
     """(wcsr, acqa, per-class score dict) for a corpus of (pred, ref) pairs."""
     totals: dict[str, float] = {}
     matched: dict[str, float] = {}
     for pred, ref in pairs:
-        t, m = sampled_per_class(pred, ref, vocabulary, step)
+        t, m = sampled_per_class(pred, ref, step)
         for cls, dur in t.items():
             totals[cls] = totals.get(cls, 0.0) + dur
         for cls, dur in m.items():
@@ -126,7 +126,7 @@ def nearest_template(frame):
     return best
 
 
-def frame_targets(track, labels, classes, vocabulary=CHORD_CLASSES):
+def frame_targets(track, labels, classes):
     """Target class index per frame, assigning one frame midpoint at a time."""
     index = {name: i for i, name in enumerate(classes)}
     n_index = index["N"]
@@ -137,7 +137,7 @@ def frame_targets(track, labels, classes, vocabulary=CHORD_CLASSES):
         while si < len(segs) and segs[si][0].end <= t:
             si += 1
         if si < len(segs) and segs[si][0].start <= t:
-            targets[fi] = index.get(_model_class_of(segs[si][1], vocabulary), n_index)
+            targets[fi] = index.get(_model_class_of(segs[si][1]), n_index)
     return targets
 
 
@@ -147,7 +147,7 @@ def _softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def train(corpus, params, classes=None, validation=None, vocabulary=CHORD_CLASSES, dtype=np.float64):
+def train(corpus, params, validation=None, dtype=np.float64):
     """(weights, train losses, validation losses, final loss) of the allocating loop.
 
     Full-batch gradient descent with the same init, objective, early
@@ -155,14 +155,14 @@ def train(corpus, params, classes=None, validation=None, vocabulary=CHORD_CLASSE
     runs in ``dtype``: inputs, frame weights and a copy of the weights
     are cast to it, and the weight step is widened to the float64 weights.
     """
-    classes = tuple(classes) if classes is not None else default_model_classes()
-    wvec = _class_weight_vector(classes, params.class_weights, vocabulary)
+    classes = default_model_classes()
+    wvec = _class_weight_vector(classes, params.class_weights)
     gamma = params.gamma if params.loss == "focal" else 0.0
 
     def design(tracks):
         features = np.vstack([track.frames for track, _ in tracks])
         x = np.hstack([features, np.ones((features.shape[0], 1))]).astype(dtype)
-        y = np.concatenate([frame_targets(track, labels, classes, vocabulary) for track, labels in tracks])
+        y = np.concatenate([frame_targets(track, labels, classes) for track, labels in tracks])
         return x, y, wvec[y].astype(dtype) if wvec is not None else None
 
     def loss_and_grad(w, x, y, frame_w):

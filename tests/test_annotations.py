@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordbalance.annotations import (
     Interval,
@@ -140,6 +142,33 @@ class TestMergeIntervals:
             for a, b in zip(merged, merged[1:]):
                 assert a.end < b.start
             assert sum(iv.duration for iv in merged) <= sum(iv.duration for iv in raw) + 1e-9
+
+
+# Endpoints on a coarse grid, so that intervals often touch and nest, or anywhere.
+_ENDPOINT = st.one_of(st.integers(0, 20).map(float), st.floats(0.0, 20.0))
+
+
+@st.composite
+def _intervals(draw):
+    a, b = sorted(draw(st.lists(_ENDPOINT, min_size=2, max_size=2, unique=True)))
+    return Interval(a, b)
+
+
+class TestMergeIntervalsProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(raw=st.lists(_intervals(), max_size=12))
+    def test_union_is_minimal_sorted_and_disjoint(self, raw):
+        merged = merge_intervals(raw)
+        # sorted, disjoint and non-touching
+        for a, b in zip(merged, merged[1:]):
+            assert a.end < b.start
+        assert merge_intervals(merged) == merged
+        # every input lies inside one output
+        for iv in raw:
+            assert sum(out.start <= iv.start and iv.end <= out.end for out in merged) == 1
+        # no endpoint is invented
+        assert {out.start for out in merged} <= {iv.start for iv in raw}
+        assert {out.end for out in merged} <= {iv.end for iv in raw}
 
 
 def random_free_sequence(rng, track_id, length_s):

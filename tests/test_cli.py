@@ -413,6 +413,16 @@ class TestRunAndCompare:
             assert message in err
         assert not (tmp_path / "out" / "reports.json").exists()
 
+    def test_run_config_with_misspelt_class_weight(self, capsys, tmp_path, experiment_config):
+        raw = json.loads(experiment_config.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**raw, "class_weights": {"hdim7": 8.0, "Dim": 6.0}}))
+        code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
+                               "run", "--config", str(bad))
+        assert code == cli.EXIT_DATA
+        assert "class weight for unknown class 'Dim'" in err
+        assert not (tmp_path / "out" / "reports.json").exists()
+
     def test_compare_two_runs(self, capsys, tmp_path, experiment_config):
         run_dirs = []
         for sub in ("a", "b"):

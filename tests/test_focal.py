@@ -94,6 +94,12 @@ class TestFocalParams:
             with pytest.raises(ValueError, match="class weight"):
                 TrainParams(class_weights={"maj": 1.0, "dim": weight})
         assert TrainParams(class_weights={"maj": 0.0, "dim": 8.0}).class_weights["dim"] == 8.0
+        for key in ("hdim", "Dim", "hdim7 ", "X", "C:maj", ""):
+            with pytest.raises(ValueError, match=f"class weight for unknown class {key!r}"):
+                TrainParams(class_weights={"maj": 1.0, key: 2.0})
+        # Every chord class but X weights model classes, N included.
+        keys = ("maj", "min", "7", "min7", "maj7", "dim", "hdim7", "aug", "sus", "N")
+        assert set(TrainParams(class_weights=dict.fromkeys(keys, 2.0)).class_weights) == set(keys)
 
 
 class TestGradient:

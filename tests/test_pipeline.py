@@ -91,6 +91,10 @@ class TestConfig:
             {"class_weights": {"hdim7": -8.0}},
             {"class_weights": {"dim": float("inf")}},
             {"class_weights": {"maj": float("nan")}},
+            {"class_weights": {"hdim": 8.0, "Dim": 6.0}},
+            {"class_weights": {"hdim7 ": 8.0}},
+            {"class_weights": {"X": 3.0}},
+            {"class_weights": {"C:maj": 2.0}},
         ],
     )
     def test_validation(self, corpora, overrides):
