@@ -46,7 +46,6 @@ from .selection import (
     ExcerptDataset,
     SelectionConfig,
     SelectionReport,
-    compute_desired_duration,
     distribution_of_selection,
     select_balanced_subset,
 )

@@ -57,9 +57,6 @@ class Interval:
     def duration(self) -> float:
         return self.end - self.start
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True)
 class TimedLabelSequence:

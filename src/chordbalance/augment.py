@@ -76,21 +76,18 @@ def pitch_shift(
     return FeatureTrack(track.track_id, rotated, track.frame_rate), shifted
 
 
-def add_noise(track: FeatureTrack, sigma: float, seed: int, clamp: bool = True) -> FeatureTrack:
+def add_noise(track: FeatureTrack, sigma: float, seed: int) -> FeatureTrack:
     """Add i.i.d. Gaussian noise to every feature value.
 
-    With ``clamp`` (the default for normalized chroma) values are cut to
-    [0, 1] after the noise is added; sigma = 0 returns the identical
-    features either way.
+    Values are cut to [0, 1], the range of normalized chroma, after the
+    noise is added; sigma = 0 returns the identical features.
     """
     if not sigma >= 0:
         raise ValueError(f"noise sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return FeatureTrack(track.track_id, track.frames.copy(), track.frame_rate)
     rng = np.random.default_rng(seed)
-    noisy = track.frames + rng.normal(0.0, sigma, track.frames.shape)
-    if clamp:
-        noisy = np.clip(noisy, 0.0, 1.0)
+    noisy = np.clip(track.frames + rng.normal(0.0, sigma, track.frames.shape), 0.0, 1.0)
     return FeatureTrack(track.track_id, noisy, track.frame_rate)
 
 

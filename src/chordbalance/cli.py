@@ -16,7 +16,14 @@ from pathlib import Path
 from ._config import load_config
 from .annotations import LabFormatError, read_lab_file
 from .chords import ChordParseError, label_to_string, parse_chord_label
-from .metrics import TrackPair, compute_report, type_distribution, write_per_type_csv, write_report_json
+from .metrics import (
+    TrackPair,
+    _write_csv,
+    compute_report,
+    type_distribution,
+    write_per_type_csv,
+    write_report_json,
+)
 from .pipeline import (
     ExperimentConfig,
     PipelineError,
@@ -85,10 +92,7 @@ def _cmd_stats(args) -> int:
     sequences = _lab_sequences(Path(args.corpus_dir))
     distribution = type_distribution(sequences)
     out = _out_dir(args) / "class_distribution.csv"
-    with open(out, "w") as fh:
-        fh.write("class,share\n")
-        for cls, share in distribution.items():
-            fh.write(f"{cls},{share:.6f}\n")
+    _write_csv(out, ["class", "share"], [[cls, f"{share:.6f}"] for cls, share in distribution.items()])
     for cls, share in distribution.items():
         print(f"{cls}\t{share:.4f}")
     print(f"wrote {out}")

@@ -205,7 +205,7 @@ def write_per_type_csv(path: str | Path, report: MetricsReport) -> None:
 
 def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
     """The one CSV writer of the package: a header row, then the rows."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -38,7 +38,6 @@ __all__ = [
     "SelectionConfig",
     "SelectionEvent",
     "SelectionReport",
-    "compute_desired_duration",
     "distribution_of_selection",
     "read_excerpts_json",
     "read_pseudolabels_jsonl",
@@ -119,15 +118,6 @@ class ExcerptDataset:
         return sum(iv.duration for ivs in self.intervals.values() for iv in ivs)
 
 
-def compute_desired_duration(labeled_total: float, rare_present: int) -> float:
-    """Per-class time budget: labeled duration split over present rare classes."""
-    if rare_present <= 0:
-        raise ValueError("no rare classes present in the pseudolabels")
-    if labeled_total < 0:
-        raise ValueError(f"labeled_total must be >= 0, got {labeled_total}")
-    return labeled_total / rare_present
-
-
 def _window(seed: Interval, min_length: float, track_length: float) -> Interval:
     """min_length window centred on the seed, clamped inside the track."""
     if track_length <= min_length:
@@ -186,7 +176,7 @@ def select_balanced_subset(
         })
         return ExcerptDataset({}, ()), report
 
-    desired = compute_desired_duration(config.labeled_total, len(present))
+    desired = config.labeled_total / len(present)
     order = sorted(present, key=lambda cls: (pool[cls], cls))
 
     selected: dict[str, list[Interval]] = {}

@@ -11,10 +11,11 @@ Training passes (logits, softmax, loss and gradient of every frame) run
 in float32; the weights they update stay float64, and so do posteriors,
 predictions and saved models.
 
-Model classes are root-qualified vocabulary classes rendered as chord
-labels ("C:maj" ... "B:hdim7", plus "N"), because a linear model on raw
-chroma cannot be root-invariant.  Mapping any model class through the
-vocabulary reduction recovers the plain chord class.
+The model's outputs are one fixed table, ``MODEL_CLASSES``: every
+scoreable chord class at every root, rendered as a chord label ("C:maj"
+... "B:hdim7"), then "N", because a linear model on raw chroma cannot be
+root-invariant.  Mapping any output's label through the vocabulary
+reduction recovers the plain chord class.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from scipy.ndimage import median_filter
@@ -42,16 +43,15 @@ from .chords import (
 )
 
 __all__ = [
+    "MODEL_CLASSES",
     "ClassifierModel",
     "FeatureTrack",
     "PredictedSegments",
     "TrainParams",
     "TrainResult",
-    "default_model_classes",
     "frame_targets",
     "init_model",
     "load_model",
-    "model_class_names",
     "predict_segments",
     "save_model",
     "train",
@@ -95,20 +95,17 @@ class FeatureTrack:
         return (np.arange(self.frames.shape[0]) + 0.5) / self.frame_rate
 
 
-def model_class_names(chord_classes: Sequence[str]) -> tuple[str, ...]:
-    """Root-qualified model class list for the given chord classes, plus N."""
-    names = [
-        f"{root}:{REPRESENTATIVE_QUALITY[cls]}"
-        for cls in chord_classes
-        for root in PITCH_NAMES
-    ]
-    names.append("N")
-    return tuple(names)
-
-
-def default_model_classes() -> tuple[str, ...]:
-    """Every scoreable chord class at every root, plus N (109 classes)."""
-    return model_class_names([c for c in CHORD_CLASSES if c not in ("N", "X")])
+# The model outputs: every scoreable chord class at every root, then N
+# (9 x 12 + 1 = 109), with the parsed label of each and the output index
+# of each (chord class, root) pair, keyed in output order.
+MODEL_CLASSES = tuple(
+    f"{root}:{REPRESENTATIVE_QUALITY[cls]}"
+    for cls in CHORD_CLASSES if cls not in ("N", "X")
+    for root in PITCH_NAMES
+) + ("N",)
+_OUTPUT_LABELS = tuple(parse_chord_label(name) for name in MODEL_CLASSES)
+_OUTPUT_OF = {(map_to_class(label), label.root): i for i, label in enumerate(_OUTPUT_LABELS)}
+_N_OUTPUT = _OUTPUT_OF[("N", None)]
 
 
 @dataclass
@@ -144,22 +141,17 @@ class TrainParams(JsonConfig):
 
 @dataclass
 class ClassifierModel:
-    """Softmax regression weights over a fixed model class list."""
+    """Softmax regression weights, one row per output in ``MODEL_CLASSES``."""
 
-    classes: tuple[str, ...]
-    weights: np.ndarray  # (n_classes, 13), bias in the last column
+    weights: np.ndarray  # (109, 13), bias in the last column
     params: TrainParams = field(default_factory=TrainParams)
+    classes: ClassVar[tuple[str, ...]] = MODEL_CLASSES
 
     def __post_init__(self) -> None:
-        self.classes = tuple(self.classes)
         self.weights = np.asarray(self.weights, dtype=float)
-        if "N" not in self.classes:
-            raise ValueError("model class list must contain N")
-        if len(set(self.classes)) != len(self.classes):
-            raise ValueError("duplicate model classes")
-        if self.weights.shape != (len(self.classes), N_CHROMA + 1):
+        if self.weights.shape != (len(MODEL_CLASSES), N_CHROMA + 1):
             raise ValueError(
-                f"weights must have shape ({len(self.classes)}, {N_CHROMA + 1}), got {self.weights.shape}"
+                f"weights must have shape ({len(MODEL_CLASSES)}, {N_CHROMA + 1}), got {self.weights.shape}"
             )
         if not np.isfinite(self.weights).all():
             raise ValueError("non-finite model weights")
@@ -235,44 +227,36 @@ def _blocked_pass(pool, w, x, y, weights, gamma, buf, losses, grad) -> tuple[flo
     return float(losses[:len(x)].mean(dtype=np.float64)), clamps
 
 
-def init_model(classes: Sequence[str], params: TrainParams) -> ClassifierModel:
+def init_model(params: TrainParams) -> ClassifierModel:
     """Seeded small-normal weight init; same seed, same weights, bitwise."""
     rng = np.random.default_rng(params.seed)
-    weights = rng.normal(0.0, _INIT_SCALE, (len(classes), N_CHROMA + 1))
-    return ClassifierModel(tuple(classes), weights, params)
+    return ClassifierModel(rng.normal(0.0, _INIT_SCALE, (len(MODEL_CLASSES), N_CHROMA + 1)), params)
 
 
-def _model_class_of(label) -> str:
-    """Model class name for a reference label; out of vocabulary folds to N."""
-    if not label.is_chord:
-        return "N"
-    cls = map_to_class(label)
-    if cls in ("N", "X"):
-        return "N"
-    return f"{PITCH_NAMES[label.root]}:{REPRESENTATIVE_QUALITY[cls]}"
+def _model_class_of(label) -> int:
+    """Model output index for a reference label; out of vocabulary folds to N."""
+    return _OUTPUT_OF.get((map_to_class(label), label.root), _N_OUTPUT)
 
 
-def frame_targets(track: FeatureTrack, labels: TimedLabelSequence, classes: Sequence[str]) -> np.ndarray:
-    """Target class index per frame; uncovered frames fall to N.
+def frame_targets(track: FeatureTrack, labels: TimedLabelSequence) -> np.ndarray:
+    """Model output index per frame; uncovered frames fall to N.
 
     A frame belongs to the segment whose half-open span holds its
     midpoint; segments are sorted and disjoint, so each one covers a
     contiguous run of frames.
     """
-    index = {name: i for i, name in enumerate(classes)}
-    n_index = index["N"]
-    targets = np.full(len(track), n_index, dtype=int)
+    targets = np.full(len(track), _N_OUTPUT, dtype=int)
     times = track.frame_times()
     for iv, label in labels.segments:
         a, b = np.searchsorted(times, (iv.start, iv.end))
-        targets[a:b] = index.get(_model_class_of(label), n_index)
+        targets[a:b] = _model_class_of(label)
     return targets
 
 
-def _class_weight_vector(classes: Sequence[str], weights: dict[str, float] | None) -> np.ndarray | None:
+def _class_weight_vector(weights: dict[str, float] | None) -> np.ndarray | None:
     if weights is None:
         return None
-    return np.asarray([weights.get(map_to_class(parse_chord_label(c)), 1.0) for c in classes], dtype=float)
+    return np.asarray([weights.get(cls, 1.0) for cls, _root in _OUTPUT_OF], dtype=float)
 
 
 def train(
@@ -286,19 +270,17 @@ def train(
     stops once the validation loss has not improved for that many epochs
     and the best-validation weights are restored.  Zero epochs return
     the freshly initialized model unchanged.  Each pass runs in float32
-    and its weight step is widened to the float64 weights.  The model
-    classes are :func:`default_model_classes`.
+    and its weight step is widened to the float64 weights.
     """
     if not corpus:
         raise ValueError("empty training corpus")
-    classes = default_model_classes()
-    wvec = _class_weight_vector(classes, params.class_weights)
+    wvec = _class_weight_vector(params.class_weights)
     if wvec is not None:
         wvec = wvec.astype(_PASS_DTYPE)
 
     def design(tracks):
         """Inputs with a bias column, targets and per-frame weights."""
-        y = np.concatenate([frame_targets(track, labels, classes) for track, labels in tracks])
+        y = np.concatenate([frame_targets(track, labels) for track, labels in tracks])
         x = np.ones((len(y), N_CHROMA + 1), _PASS_DTYPE)
         np.concatenate([track.frames for track, _ in tracks], out=x[:, :N_CHROMA])
         return x, y, wvec[y] if wvec is not None else None
@@ -314,10 +296,10 @@ def train(
     # x.T is laid out once: ``xT @ grad`` runs the step's product along its
     # long axis and is bit-equal to ``grad.T @ x`` at one BLAS thread.
     rows = max(n, len(vx)) if use_val else n
-    buf, losses = np.empty((rows, len(classes)), _PASS_DTYPE), np.empty(rows, _PASS_DTYPE)
+    buf, losses = np.empty((rows, len(MODEL_CLASSES)), _PASS_DTYPE), np.empty(rows, _PASS_DTYPE)
     xT = np.ascontiguousarray(x.T)
 
-    w = init_model(classes, params).weights
+    w = init_model(params).weights
     train_losses: list[float] = []
     val_losses: list[float] = [] if use_val else None
     best_val = np.inf
@@ -358,8 +340,7 @@ def train(
             epochs_run = best_epoch
         final_loss = mean_loss(w, x, y, frame_w)
     focal._note_clamps(clamps)
-    model = ClassifierModel(classes, w, params)
-    return TrainResult(model, final_loss, epochs_run, train_losses, val_losses, clamps)
+    return TrainResult(ClassifierModel(w, params), final_loss, epochs_run, train_losses, val_losses, clamps)
 
 
 def predict_segments(
@@ -390,7 +371,7 @@ def predict_segments(
     rate = track.frame_rate
     for a, b in zip(bounds, bounds[1:]):
         cls = int(idx[a])
-        segments.append((Interval(a / rate, b / rate), parse_chord_label(model.classes[cls])))
+        segments.append((Interval(a / rate, b / rate), _OUTPUT_LABELS[cls]))
         confidences.append(float(np.clip(probs[a:b, cls].mean(), 0.0, 1.0)))
     sequence = TimedLabelSequence(track.track_id, tuple(segments))
     return PredictedSegments(sequence, tuple(confidences))
@@ -399,7 +380,7 @@ def predict_segments(
 def save_model(model: ClassifierModel, path: str | Path) -> None:
     """JSON snapshot: class list, weights and training params."""
     payload = {
-        "classes": list(model.classes),
+        "classes": list(MODEL_CLASSES),
         "weights": model.weights.tolist(),
         "params": model.params.to_dict(),
     }
@@ -408,5 +389,7 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ClassifierModel:
     payload = json.loads(Path(path).read_text("utf-8"))
+    if payload.get("classes") != list(MODEL_CLASSES):
+        raise ValueError(f"{path}: model classes are not the {len(MODEL_CLASSES)} outputs of MODEL_CLASSES")
     params = load_config(TrainParams, payload["params"], "model params", defaults={})
-    return ClassifierModel(tuple(payload["classes"]), np.asarray(payload["weights"]), params)
+    return ClassifierModel(np.asarray(payload["weights"]), params)

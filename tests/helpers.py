@@ -83,7 +83,7 @@ def frame_accuracy(model, corpus):
     hits = 0
     total = 0
     for track, labels in corpus:
-        y = frame_targets(track, labels, model.classes)
+        y = frame_targets(track, labels)
         pred = np.argmax(model.logits(track.frames), axis=1)
         hits += int((pred == y).sum())
         total += len(y)

@@ -6,7 +6,9 @@ segment boundaries, and the gradient oracle uses central finite
 differences instead of the analytic formula, and the template oracle
 decodes a chroma frame by brute-force search over every rooted template.
 The frame-target oracle walks the frames one at a time instead of
-slicing whole segments, and the trainer oracle takes each pass over the
+slicing whole segments and finds each target by its label's name in
+``MODEL_CLASSES``; the class-weight oracle parses every output's name;
+and the trainer oracle takes each pass over the
 whole batch at once in fresh arrays, on one thread, and the weight step
 as ``grad.T @ x``.
 Label-to-class reduction and the batch objective are shared with the
@@ -19,14 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from chordbalance import focal
-from chordbalance.chords import map_to_class
-from chordbalance.student import (
-    N_CHROMA,
-    _class_weight_vector,
-    _model_class_of,
-    default_model_classes,
-    init_model,
-)
+from chordbalance.chords import PITCH_NAMES, REPRESENTATIVE_QUALITY, map_to_class, parse_chord_label
+from chordbalance.student import MODEL_CLASSES, N_CHROMA, init_model
 from chordbalance.synth import CHORD_CLASS_INTERVALS, chord_template, no_chord_template
 
 STEP = 0.01
@@ -126,19 +122,30 @@ def nearest_template(frame):
     return best
 
 
-def frame_targets(track, labels, classes):
-    """Target class index per frame, assigning one frame midpoint at a time."""
-    index = {name: i for i, name in enumerate(classes)}
-    n_index = index["N"]
-    targets = np.full(len(track), n_index, dtype=int)
+def model_output(label):
+    """Index in ``MODEL_CLASSES`` of the rooted class name of a label, else of N."""
+    cls = map_to_class(label)
+    if not label.is_chord or cls in ("N", "X"):
+        return MODEL_CLASSES.index("N")
+    return MODEL_CLASSES.index(f"{PITCH_NAMES[label.root]}:{REPRESENTATIVE_QUALITY[cls]}")
+
+
+def frame_targets(track, labels):
+    """Target output index per frame, assigning one frame midpoint at a time."""
+    targets = np.full(len(track), MODEL_CLASSES.index("N"), dtype=int)
     segs = labels.segments
     si = 0
     for fi, t in enumerate(track.frame_times()):
         while si < len(segs) and segs[si][0].end <= t:
             si += 1
         if si < len(segs) and segs[si][0].start <= t:
-            targets[fi] = index.get(_model_class_of(segs[si][1]), n_index)
+            targets[fi] = model_output(segs[si][1])
     return targets
+
+
+def class_weight_vector(weights):
+    """Per-output loss weight, from the chord class of each parsed output name."""
+    return np.asarray([weights.get(map_to_class(parse_chord_label(name)), 1.0) for name in MODEL_CLASSES])
 
 
 def _softmax(z):
@@ -155,14 +162,13 @@ def train(corpus, params, validation=None, dtype=np.float64):
     runs in ``dtype``: inputs, frame weights and a copy of the weights
     are cast to it, and the weight step is widened to the float64 weights.
     """
-    classes = default_model_classes()
-    wvec = _class_weight_vector(classes, params.class_weights)
+    wvec = class_weight_vector(params.class_weights) if params.class_weights is not None else None
     gamma = params.gamma if params.loss == "focal" else 0.0
 
     def design(tracks):
         features = np.vstack([track.frames for track, _ in tracks])
         x = np.hstack([features, np.ones((features.shape[0], 1))]).astype(dtype)
-        y = np.concatenate([frame_targets(track, labels, classes) for track, labels in tracks])
+        y = np.concatenate([frame_targets(track, labels) for track, labels in tracks])
         return x, y, wvec[y].astype(dtype) if wvec is not None else None
 
     def loss_and_grad(w, x, y, frame_w):
@@ -174,7 +180,7 @@ def train(corpus, params, validation=None, dtype=np.float64):
     if use_val:
         vx, vy, vframe_w = design(validation)
 
-    w = init_model(classes, params).weights
+    w = init_model(params).weights
     train_losses, val_losses = [], []
     best_val, best_w, stale = np.inf, None, 0
     for _ in range(params.epochs):

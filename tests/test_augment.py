@@ -111,16 +111,19 @@ class TestAddNoise:
         np.testing.assert_array_equal(a.frames, b.frames)
 
     def test_distinct_seeds_differ(self):
+        # frames far from 0 and 1, so the clamp never makes two draws equal
         rng = np.random.default_rng(7)
-        track = make_track(rng)
-        a = add_noise(track, 0.2, seed=1, clamp=False)
-        b = add_noise(track, 0.2, seed=2, clamp=False)
+        track = FeatureTrack("t", rng.uniform(0.4, 0.6, (40, 12)))
+        a = add_noise(track, 0.05, seed=1)
+        b = add_noise(track, 0.05, seed=2)
         assert (a.frames != b.frames).all()
 
     def test_noise_level(self):
+        # frames far from 0 and 1, so the clamp cuts no value
         rng = np.random.default_rng(8)
-        track = FeatureTrack("t", rng.uniform(0.0, 1.0, (900, 12)))
-        noisy = add_noise(track, 0.1, seed=3, clamp=False)
+        track = FeatureTrack("t", rng.uniform(0.45, 0.55, (900, 12)))
+        noisy = add_noise(track, 0.1, seed=3)
+        assert 0.0 < noisy.frames.min() and noisy.frames.max() < 1.0
         std = float((noisy.frames - track.frames).std())
         assert 0.09 <= std <= 0.11
 

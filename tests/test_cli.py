@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +331,22 @@ class TestRunAndCompare:
         assert "iteration 1: wcsr" in out
         assert "best by acqa: iteration" in out
         assert (out_dir / "reports.json").exists()
+
+    def test_run_non_ascii_name_under_ascii_locale(self, tmp_path, experiment_config):
+        """Every file a run writes is UTF-8, whatever the locale's encoding."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(experiment_config.read_text()), "name": "caf\u00e9"}))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env.pop("PYTHONIOENCODING", None)
+        child = subprocess.run(
+            [sys.executable, "-m", "chordbalance.cli", "--output-dir", str(tmp_path / "run"),
+             "run", "--config", str(config)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert child.returncode == cli.EXIT_OK, child.stderr
+        summary = (tmp_path / "run" / "summary.csv").read_text("utf-8")
+        assert summary.splitlines()[1].startswith("caf\u00e9,")
 
     def test_run_seed_override(self, capsys, tmp_path, experiment_config):
         out_dir = tmp_path / "run"

@@ -15,7 +15,6 @@ from chordbalance.selection import (
     ExcerptDataset,
     SelectionConfig,
     SelectionReport,
-    compute_desired_duration,
     distribution_of_selection,
     read_excerpts_json,
     read_pseudolabels_jsonl,
@@ -42,14 +41,19 @@ def labelled(track_id, triples, confidences):
 
 
 class TestDesiredDuration:
-    def test_arithmetic(self):
-        assert compute_desired_duration(3600.0, 6) == 600.0
-        assert compute_desired_duration(3600.0, 1) == 3600.0
-        assert compute_desired_duration(0.0, 4) == 0.0
+    @staticmethod
+    def desired(labeled_total, texts):
+        """The set of per-class budgets reported for one pool track of 1 s segments."""
+        pool = [labelled("t", [(float(i), i + 1.0, text) for i, text in enumerate(texts)], [0.9] * len(texts))]
+        config = SelectionConfig(min_length=8.0, labeled_total=labeled_total)
+        _, report = select_balanced_subset(pool, {"t": 60.0}, config)
+        return {sel.desired_duration for sel in report.per_class.values()}
 
-    def test_zero_classes_raises(self):
-        with pytest.raises(ValueError, match="no rare classes"):
-            compute_desired_duration(3600.0, 0)
+    def test_arithmetic(self):
+        # the labeled time splits evenly over the rare classes present in the pool
+        assert self.desired(3600.0, ["C:7", "C:min7", "C:maj7", "C:dim", "C:hdim7", "C:aug"]) == {600.0}
+        assert self.desired(3600.0, ["C:dim", "C:maj"]) == {3600.0}
+        assert self.desired(0.0, ["C:7", "C:min7", "C:dim", "C:hdim7"]) == {0.0}
 
 
 class TestConfig:

@@ -15,15 +15,14 @@ from chordbalance import focal, student
 from chordbalance.chords import CHORD_CLASSES, map_to_class, parse_chord_label
 from chordbalance.annotations import Interval, TimedLabelSequence
 from chordbalance.student import (
+    MODEL_CLASSES,
     ClassifierModel,
     FeatureTrack,
     PredictedSegments,
     TrainParams,
-    default_model_classes,
     frame_targets,
     init_model,
     load_model,
-    model_class_names,
     predict_segments,
     save_model,
     train,
@@ -83,33 +82,35 @@ class TestFeatureTrack:
 
 class TestModelClasses:
     def test_default_list(self):
-        classes = default_model_classes()
-        assert len(classes) == 109  # 9 chord classes at 12 roots, plus N
-        assert classes[-1] == "N"
-        assert len(set(classes)) == 109
-        for name in classes:
+        assert len(MODEL_CLASSES) == 109  # 9 chord classes at 12 roots, plus N
+        assert MODEL_CLASSES[:2] == ("C:maj", "C#:maj") and MODEL_CLASSES[12] == "C:min"
+        assert MODEL_CLASSES[-2:] == ("B:sus4", "N")
+        assert len(set(MODEL_CLASSES)) == 109
+        for name in MODEL_CLASSES:
             label = parse_chord_label(name)
             assert map_to_class(label) in CHORD_CLASSES
 
-    def test_model_class_names_subset(self):
-        names = model_class_names(["maj", "min"])
-        assert len(names) == 25
-        assert names[0] == "C:maj" and names[12] == "C:min" and names[-1] == "N"
+    def test_output_labels_map_back(self):
+        for i, name in enumerate(MODEL_CLASSES):
+            label = student._OUTPUT_LABELS[i]
+            assert label == parse_chord_label(name) and str(label) == name
+            assert student._model_class_of(label) == i
 
 
 class TestClassifierModel:
     def test_validation(self):
-        with pytest.raises(ValueError, match="contain N"):
-            ClassifierModel(("C:maj",), np.zeros((1, 13)))
-        with pytest.raises(ValueError, match="duplicate"):
-            ClassifierModel(("N", "N"), np.zeros((2, 13)))
         with pytest.raises(ValueError, match="shape"):
-            ClassifierModel(("C:maj", "N"), np.zeros((2, 12)))
+            ClassifierModel(np.zeros((109, 12)))
+        with pytest.raises(ValueError, match="shape"):
+            ClassifierModel(np.zeros((2, 13)))
         with pytest.raises(ValueError, match="finite"):
-            ClassifierModel(("C:maj", "N"), np.full((2, 13), np.inf))
+            ClassifierModel(np.full((109, 13), np.inf))
+
+    def test_classes_are_the_table(self):
+        assert ClassifierModel(np.zeros((109, 13))).classes is MODEL_CLASSES
 
     def test_posteriors_are_distributions(self):
-        model = init_model(default_model_classes(), TrainParams(seed=4))
+        model = init_model(TrainParams(seed=4))
         probs = model.posteriors(np.random.default_rng(0).normal(0, 1, (20, 12)))
         assert probs.shape == (20, 109)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -118,30 +119,29 @@ class TestClassifierModel:
 
 class TestFrameTargets:
     def test_alignment_and_gap_fill(self):
-        classes = ("C:maj", "D:min", "N")
         track = FeatureTrack("t", np.zeros((10, 12)), frame_rate=10.0)
         labels = TimedLabelSequence.build(
             "t", [(Interval(0.0, 0.5), parse_chord_label("C:maj"))]
         )
-        targets = frame_targets(track, labels, classes)
-        np.testing.assert_array_equal(targets, [0, 0, 0, 0, 0, 2, 2, 2, 2, 2])
+        targets = frame_targets(track, labels)
+        np.testing.assert_array_equal(targets, [0, 0, 0, 0, 0, 108, 108, 108, 108, 108])
 
     def test_unknown_reference_folds_to_n(self):
-        classes = ("C:maj", "N")
         track = FeatureTrack("t", np.zeros((4, 12)), frame_rate=10.0)
-        labels = TimedLabelSequence.build(
-            "t", [(Interval(0.0, 0.4), parse_chord_label("X"))]
-        )
-        np.testing.assert_array_equal(frame_targets(track, labels, classes), [1, 1, 1, 1])
+        # X, N, and chords whose quality has no vocabulary class
+        for text in ("X", "N", "C:aug7", "G:5"):
+            labels = TimedLabelSequence.build(
+                "t", [(Interval(0.0, 0.4), parse_chord_label(text))]
+            )
+            np.testing.assert_array_equal(frame_targets(track, labels), [108] * 4)
 
     def test_root_specific_targets(self):
-        classes = ("C:maj", "D:maj", "N")
         track = FeatureTrack("t", np.zeros((4, 12)), frame_rate=10.0)
         labels = TimedLabelSequence.build(
             "t", [(Interval(0.0, 0.4), parse_chord_label("D:maj6"))]
         )
         # maj6 reduces to the maj class at root D
-        np.testing.assert_array_equal(frame_targets(track, labels, classes), [1, 1, 1, 1])
+        np.testing.assert_array_equal(frame_targets(track, labels), [MODEL_CLASSES.index("D:maj")] * 4)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -167,10 +167,7 @@ class TestFrameTargets:
         ]
         track = FeatureTrack("t", np.zeros((n, 12)), frame_rate=rate)
         labels = TimedLabelSequence("t", tuple(segments))
-        classes = ("C:maj", "D:min", "B:hdim7", "D:maj", "N")
-        np.testing.assert_array_equal(
-            frame_targets(track, labels, classes), oracles.frame_targets(track, labels, classes)
-        )
+        np.testing.assert_array_equal(frame_targets(track, labels), oracles.frame_targets(track, labels))
 
 
 class TestTrain:
@@ -186,7 +183,7 @@ class TestTrain:
         corpus = clean_corpus(n_tracks=2)
         params = TrainParams(epochs=0, seed=7)
         result = train(corpus, params)
-        np.testing.assert_array_equal(result.model.weights, init_model(default_model_classes(), params).weights)
+        np.testing.assert_array_equal(result.model.weights, init_model(params).weights)
         assert result.epochs_run == 0
 
     def test_same_seed_is_bit_identical(self):
@@ -292,7 +289,7 @@ class TestMatchesAllocatingLoop:
         scale = np.abs(weights).max()
         assert np.abs(result.model.weights - weights).max() <= 1e-5 * scale
         frames = np.vstack([track.frames for track, _ in corpus])
-        wide = ClassifierModel(result.model.classes, weights, params)
+        wide = ClassifierModel(weights, params)
         np.testing.assert_array_equal(result.model.posteriors(frames).argmax(axis=1),
                                       wide.posteriors(frames).argmax(axis=1))
         assert result.final_loss == pytest.approx(final_loss, rel=1e-4)
@@ -350,13 +347,12 @@ class TestEarlyStopping:
 
 class TestPredictSegments:
     def arrow_model(self):
-        # logits pick the chroma bin each class row points at
-        classes = ("C:maj", "D:min", "N")
-        weights = np.zeros((3, 13))
-        weights[0, 0] = 4.0
-        weights[1, 2] = 4.0
-        weights[2, 5] = 4.0
-        return ClassifierModel(classes, weights)
+        # logits pick the chroma bin each of the rows of C:maj, D:min and N
+        # points at; every other row stays at zero
+        weights = np.zeros((109, 13))
+        for name, chroma_bin in (("C:maj", 0), ("D:min", 2), ("N", 5)):
+            weights[MODEL_CLASSES.index(name), chroma_bin] = 4.0
+        return ClassifierModel(weights)
 
     def frames_for(self, indices):
         bins = {0: 0, 1: 2, 2: 5}
@@ -463,13 +459,27 @@ class TestSerialization:
         ids=["unknown", "missing", "wrong-type"],
     )
     def test_load_rejects_malformed_params(self, tmp_path, edit, message):
-        model = init_model(default_model_classes(), TrainParams(seed=4))
+        model = init_model(TrainParams(seed=4))
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
         edit(payload["params"])
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda classes: classes.reverse(), lambda classes: classes.pop(0), lambda classes: classes.pop()],
+        ids=["reordered", "shortened", "no-N"],
+    )
+    def test_load_rejects_other_class_lists(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(init_model(TrainParams(seed=4)), path)
+        payload = json.loads(path.read_text())
+        edit(payload["classes"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="model classes"):
             load_model(path)
 
     def test_loaded_model_predicts_identically(self, tmp_path):
