@@ -42,6 +42,8 @@ class AugmentSpec:
             raise ValueError(f"empty semitone range ({lo}, {hi})")
         if lo < -11 or hi > 11:
             raise ValueError(f"semitone range ({lo}, {hi}) outside [-11, 11]")
+        if lo == hi == 0:
+            raise ValueError(f"semitone range ({lo}, {hi}) has no nonzero values")
         if not (self.noise_sigma >= 0 and np.isfinite(self.noise_sigma)):
             raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
 
@@ -95,6 +97,4 @@ def draw_semitones(rng: np.random.Generator, semitone_range: tuple[int, int]) ->
     """Uniform draw over the configured range, never 0."""
     lo, hi = semitone_range
     choices = [k for k in range(lo, hi + 1) if k != 0]
-    if not choices:
-        raise ValueError(f"semitone range ({lo}, {hi}) has no nonzero values")
     return choices[int(rng.integers(len(choices)))]

@@ -14,8 +14,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from ._config import load_config
-from .annotations import LabFormatError, read_lab_file
-from .chords import ChordParseError, label_to_string, parse_chord_label
+from .annotations import read_lab_file
+from .chords import label_to_string, parse_chord_label
 from .metrics import (
     TrackPair,
     _write_csv,
@@ -46,13 +46,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 _DATA_ERRORS = (
-    ChordParseError,
-    LabFormatError,
     PipelineError,
     ValueError,
     KeyError,
     OSError,
-    json.JSONDecodeError,
 )
 
 

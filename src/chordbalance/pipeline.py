@@ -31,6 +31,7 @@ from .augment import AugmentSpec, add_noise, derive_seed, draw_semitones, pitch_
 from .metrics import MetricsReport, TrackPair, _write_csv, compute_report
 from .selection import (
     DEFAULT_RARE_CLASSES,
+    ExcerptDataset,
     SelectionConfig,
     SelectionReport,
     select_balanced_subset,
@@ -139,28 +140,75 @@ def _stage(stage: str, iteration: int, fn, *args, **kwargs):
         raise PipelineError(f"stage {stage!r} failed at iteration {iteration}: {exc}") from exc
 
 
-def _slice_excerpt(
-    track: FeatureTrack,
-    pseudo: student.PredictedSegments,
-    excerpt: Interval,
-    excerpt_id: str,
-) -> tuple[FeatureTrack, TimedLabelSequence, student.PredictedSegments]:
-    """Cut one excerpt out of a track, rebasing times to the excerpt start."""
-    fps = track.frame_rate
-    i0 = int(round(excerpt.start * fps))
-    i1 = min(int(round(excerpt.end * fps)), len(track))
-    frames = track.frames[i0:i1]
-    segments = []
-    confidences = []
-    for (iv, lab), conf in zip(pseudo.sequence.segments, pseudo.confidences):
-        lo = max(iv.start, i0 / fps)
-        hi = min(iv.end, i1 / fps)
-        if hi > lo:
-            segments.append((Interval(lo - i0 / fps, hi - i0 / fps), lab))
-            confidences.append(conf)
-    cut = FeatureTrack(excerpt_id, frames, fps)
-    labels = TimedLabelSequence(excerpt_id, tuple(segments))
-    return cut, labels, student.PredictedSegments(labels, tuple(confidences))
+def _load_corpora(config: ExperimentConfig):
+    """The labeled, unlabeled and test corpora, checked against each other."""
+    labeled = load_corpus(config.labeled_dir)[0]
+    unlabeled = load_corpus(config.unlabeled_dir)[0]
+    test = load_corpus(config.test_dir)[0]
+    test_ids = {track.track_id for track, _ in test}
+    for name, corpus in (("unlabeled", unlabeled), ("labeled", labeled)):
+        leaked = sorted(test_ids & {track.track_id for track, _ in corpus})
+        if leaked:
+            raise ValueError(f"{name} corpus shares tracks with the test corpus: {leaked}")
+    rates = {name: corpus[0][0].frame_rate
+             for name, corpus in (("labeled", labeled), ("unlabeled", unlabeled), ("test", test)) if corpus}
+    if len(set(rates.values())) > 1:
+        raise ValueError(f"corpora differ in frame rate: {rates}")
+    return labeled, unlabeled, test
+
+
+def _pseudolabel(model, pool, smoothing_window: int) -> dict[str, student.PredictedSegments]:
+    return {tid: predict_segments(model, track, smoothing_window) for tid, track in pool.items()}
+
+
+def _augmented_excerpts(
+    k: int,
+    augment: AugmentSpec,
+    pool: Mapping[str, FeatureTrack],
+    pseudo: Mapping[str, student.PredictedSegments],
+    dataset: ExcerptDataset,
+) -> tuple[list[tuple[FeatureTrack, TimedLabelSequence]], list[student.PredictedSegments]]:
+    """Cut each selected excerpt with its pseudolabels, then pitch-shift and noise it.
+
+    An excerpt spans frames ``i0:i1`` of its pool track, is named
+    ``tid@i0-i1``, and its segment times start at 0.
+    """
+    corpus = []
+    pseudolabels = []
+    for tid, excerpts in dataset.intervals.items():
+        track = pool[tid]
+        predicted = pseudo[tid]
+        fps = track.frame_rate
+        for excerpt in excerpts:
+            i0 = int(round(excerpt.start * fps))
+            i1 = int(round(excerpt.end * fps))
+            eid = f"{tid}@{i0}-{i1}"
+            t0 = i0 / fps
+            t1 = min(i1, len(track)) / fps
+            segments = []
+            confidences = []
+            for (iv, lab), conf in zip(predicted.sequence.segments, predicted.confidences):
+                lo = max(iv.start, t0)
+                hi = min(iv.end, t1)
+                if hi > lo:
+                    segments.append((Interval(lo - t0, hi - t0), lab))
+                    confidences.append(conf)
+            key = f"iter{k}:{eid}"
+            shift_rng = np.random.default_rng(derive_seed(augment.seed, f"shift:{key}"))
+            aug_track, aug_labels = pitch_shift(FeatureTrack(eid, track.frames[i0:i1], fps),
+                                                TimedLabelSequence(eid, tuple(segments)),
+                                                draw_semitones(shift_rng, augment.semitone_range))
+            if augment.noise_sigma > 0:
+                aug_track = add_noise(aug_track, augment.noise_sigma,
+                                      derive_seed(augment.seed, f"noise:{key}"))
+            corpus.append((aug_track, aug_labels))
+            pseudolabels.append(student.PredictedSegments(aug_labels, tuple(confidences)))
+    return corpus, pseudolabels
+
+
+def _evaluate(model, test, smoothing_window: int) -> MetricsReport:
+    pairs = [TrackPair(predict_segments(model, track, smoothing_window).sequence, ref) for track, ref in test]
+    return compute_report(pairs)
 
 
 def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[IterationReport]:
@@ -174,24 +222,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
     out = Path(output_dir)
     (out / "models").mkdir(parents=True, exist_ok=True)
 
-    labeled = _stage("load-corpora", 0, load_corpus, config.labeled_dir)[0]
-    unlabeled = _stage("load-corpora", 0, load_corpus, config.unlabeled_dir)[0]
-    test = _stage("load-corpora", 0, load_corpus, config.test_dir)[0]
-
-    test_ids = {track.track_id for track, _ in test}
-    for name, corpus in (("unlabeled", unlabeled), ("labeled", labeled)):
-        leaked = sorted(test_ids & {track.track_id for track, _ in corpus})
-        if leaked:
-            raise PipelineError(
-                f"stage 'load-corpora' failed at iteration 0: "
-                f"{name} corpus shares tracks with the test corpus: {leaked}"
-            )
-    rates = {name: corpus[0][0].frame_rate
-             for name, corpus in (("labeled", labeled), ("unlabeled", unlabeled), ("test", test)) if corpus}
-    if len(set(rates.values())) > 1:
-        raise PipelineError(
-            f"stage 'load-corpora' failed at iteration 0: corpora differ in frame rate: {rates}"
-        )
+    labeled, unlabeled, test = _stage("load-corpora", 0, _load_corpora, config)
 
     # One split per run; every iteration trains against the same validation set.
     split_rng = np.random.default_rng(derive_seed(config.seed, "split"))
@@ -202,68 +233,30 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
     selection = replace(config._selection,
                         labeled_total=sum(track.duration for track, _ in train_split))
 
-    unlabeled_durations = {track.track_id: track.duration for track, _ in unlabeled}
+    pool = {track.track_id: track for track, _ in unlabeled}
+    pool_durations = {tid: track.duration for tid, track in pool.items()}
 
     reports: list[IterationReport] = []
-    current_model = None
+    model = None
     for k in range(config.iterations + 1):
         started = time.perf_counter()
         selection_report = None
-        if k == 0:
-            corpus = list(train_split)
-        else:
-            teacher = current_model
-            pseudo = _stage(
-                "pseudolabel", k,
-                lambda: [predict_segments(teacher, track, config.smoothing_window)
-                         for track, _ in unlabeled],
-            )
+        corpus = list(train_split)
+        if k > 0:
+            pseudo = _stage("pseudolabel", k, _pseudolabel, model, pool, config.smoothing_window)
             dataset, selection_report = _stage("select", k, select_balanced_subset,
-                                               pseudo, unlabeled_durations, selection)
-            pseudo_by_track = {ps.sequence.track_id: ps for ps in pseudo}
-            track_by_id = {track.track_id: track for track, _ in unlabeled}
-
-            def _augmented_excerpts():
-                out_corpus = []
-                out_pseudo = []
-                for tid, excerpts in dataset.intervals.items():
-                    for excerpt in excerpts:
-                        fps = track_by_id[tid].frame_rate
-                        eid = f"{tid}@{int(round(excerpt.start * fps))}-{int(round(excerpt.end * fps))}"
-                        cut, labels, cut_pseudo = _slice_excerpt(
-                            track_by_id[tid], pseudo_by_track[tid], excerpt, eid
-                        )
-                        key = f"iter{k}:{eid}"
-                        shift_rng = np.random.default_rng(derive_seed(config.augment.seed, f"shift:{key}"))
-                        semitones = draw_semitones(shift_rng, config.augment.semitone_range)
-                        aug_track, aug_labels = pitch_shift(cut, labels, semitones)
-                        if config.augment.noise_sigma > 0:
-                            aug_track = add_noise(
-                                aug_track, config.augment.noise_sigma,
-                                derive_seed(config.augment.seed, f"noise:{key}"),
-                            )
-                        out_corpus.append((aug_track, aug_labels))
-                        out_pseudo.append(student.PredictedSegments(aug_labels, cut_pseudo.confidences))
-                return out_corpus, out_pseudo
-
-            excerpt_corpus, excerpt_pseudo = _stage("augment", k, _augmented_excerpts)
+                                               list(pseudo.values()), pool_durations, selection)
+            excerpts, excerpt_pseudo = _stage("augment", k, _augmented_excerpts,
+                                              k, config.augment, pool, pseudo, dataset)
             write_pseudolabels_jsonl(out / f"selection_{k}.jsonl", excerpt_pseudo)
-            corpus = list(train_split) + excerpt_corpus
+            corpus += excerpts
 
         params = replace(config._train_params, seed=derive_seed(config.seed, f"train-{k}"))
-        result = _stage("train", k, student.train, corpus, params, val_split or None)
-        current_model = result.model
+        model = _stage("train", k, student.train, corpus, params, val_split or None).model
         model_path = f"models/iter_{k}.json"
-        save_model(current_model, out / model_path)
+        save_model(model, out / model_path)
 
-        pairs = _stage(
-            "evaluate", k,
-            lambda: [
-                TrackPair(predict_segments(current_model, track, config.smoothing_window).sequence, ref)
-                for track, ref in test
-            ],
-        )
-        metrics = _stage("evaluate", k, compute_report, pairs)
+        metrics = _stage("evaluate", k, _evaluate, model, test, config.smoothing_window)
         reports.append(IterationReport(
             iteration=k,
             metrics=metrics,

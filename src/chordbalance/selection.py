@@ -255,6 +255,7 @@ def read_pseudolabels_jsonl(path: str | Path) -> list[PredictedSegments]:
                 continue
             try:
                 rec = json.loads(line)
+                tid = str(rec["track"])
                 entry = (
                     Interval(float(rec["start"]), float(rec["end"])),
                     parse_chord_label(rec["label"]),
@@ -262,7 +263,7 @@ def read_pseudolabels_jsonl(path: str | Path) -> list[PredictedSegments]:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            grouped.setdefault(str(rec["track"]), []).append(entry)
+            grouped.setdefault(tid, []).append(entry)
     out = []
     for tid, entries in grouped.items():
         entries.sort(key=lambda e: e[0].start)

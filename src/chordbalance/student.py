@@ -389,7 +389,9 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ClassifierModel:
     payload = json.loads(Path(path).read_text("utf-8"))
-    if payload.get("classes") != list(MODEL_CLASSES):
+    if not isinstance(payload, dict) or not payload.keys() >= {"classes", "weights", "params"}:
+        raise ValueError(f"{path}: a model file is a JSON object with classes, weights and params")
+    if payload["classes"] != list(MODEL_CLASSES):
         raise ValueError(f"{path}: model classes are not the {len(MODEL_CLASSES)} outputs of MODEL_CLASSES")
     params = load_config(TrainParams, payload["params"], "model params", defaults={})
     return ClassifierModel(np.asarray(payload["weights"]), params)

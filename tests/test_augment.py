@@ -46,6 +46,7 @@ class TestAugmentSpec:
             {"noise_sigma": -0.1},
             {"noise_sigma": float("inf")},
             {"noise_sigma": float("nan")},
+            {"semitone_range": (0, 0)},
         ],
     )
     def test_validation(self, kwargs):
@@ -161,8 +162,3 @@ class TestSeeding:
         for _ in range(200):
             k = draw_semitones(rng, (-5, 6))
             assert -5 <= k <= 6 and k != 0
-
-    def test_draw_semitones_empty_choices(self):
-        rng = np.random.default_rng(13)
-        with pytest.raises(ValueError):
-            draw_semitones(rng, (0, 0))

@@ -215,6 +215,16 @@ class TestSelect:
         assert code == cli.EXIT_DATA
         assert "lacks required fields: ['labeled_total']" in err
 
+    def test_pseudolabel_line_without_track_names_file_and_line(self, capsys, tmp_path, select_inputs):
+        jsonl, config = select_inputs
+        lines = jsonl.read_text().splitlines()
+        record = json.loads(lines[0])
+        del record["track"]
+        jsonl.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        code, _, err = run_cli(capsys, "select", "--pseudolabels", str(jsonl), "--config", str(config))
+        assert code == cli.EXIT_DATA
+        assert f"{jsonl}, line 1: 'track'" in err
+
     @pytest.mark.parametrize(
         "edit,message",
         [
@@ -401,6 +411,17 @@ class TestRunAndCompare:
                                    "run", "--config", str(bad))
             assert code == cli.EXIT_DATA
             assert message in err
+
+    def test_run_config_with_semitone_range_without_shift(self, capsys, tmp_path, experiment_config):
+        raw = json.loads(experiment_config.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**raw, "rare_classes": ["maj", "min"],
+                                   "augment": {"semitone_range": [0, 0]}}))
+        code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
+                               "run", "--config", str(bad))
+        assert code == cli.EXIT_DATA
+        assert "semitone range (0, 0) has no nonzero values" in err
+        assert not (tmp_path / "out" / "models" / "iter_0.json").exists()
 
     def test_run_config_with_non_finite_values(self, capsys, tmp_path, experiment_config):
         raw = json.loads(experiment_config.read_text())

@@ -16,7 +16,7 @@ from chordbalance.pipeline import (
     write_comparison_csvs,
 )
 from chordbalance.selection import read_pseudolabels_jsonl
-from chordbalance.synth import CorpusSpec, generate_corpus, save_corpus
+from chordbalance.synth import CorpusSpec, generate_corpus, load_corpus, save_corpus
 
 
 def small_spec(n_tracks, seed, prefix):
@@ -254,6 +254,22 @@ class TestRun:
             assert ps.sequence.segments[0][0].start == 0.0
             assert all(0.0 <= c <= 1.0 for c in ps.confidences)
 
+    def test_selection_segments_tile_each_excerpt(self, finished_run, corpora):
+        _, out, _ = finished_run
+        pool = {track.track_id: track for track, _ in load_corpus(corpora["unlabeled"])[0]}
+        checked = 0
+        for k in (1, 2):
+            for ps in read_pseudolabels_jsonl(out / f"selection_{k}.jsonl"):
+                tid, frames = ps.sequence.track_id.split("@")
+                i0, i1 = (int(i) for i in frames.split("-"))
+                fps = pool[tid].frame_rate
+                ivs = [iv for iv, _ in ps.sequence.segments]
+                assert ivs[0].start == 0.0
+                assert all(a.end == b.start for a, b in zip(ivs, ivs[1:]))
+                assert ivs[-1].end == min(i1, len(pool[tid])) / fps - i0 / fps
+                checked += 1
+        assert checked
+
     def test_byte_identical_rerun(self, finished_run, tmp_path):
         config, out, _ = finished_run
         run_experiment(config, tmp_path)
@@ -274,7 +290,8 @@ class TestRun:
 class TestGuards:
     def test_test_pool_overlap_rejected(self, corpora, tmp_path):
         config = make_config(corpora, unlabeled_dir=corpora["test"])
-        with pytest.raises(PipelineError, match="shares tracks"):
+        message = "stage 'load-corpora' failed at iteration 0: unlabeled corpus shares tracks with the test corpus"
+        with pytest.raises(PipelineError, match=re.escape(message)):
             run_experiment(config, tmp_path)
 
     def test_missing_corpus_names_stage(self, corpora, tmp_path):

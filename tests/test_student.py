@@ -482,6 +482,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="model classes"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda payload: {key: value for key, value in payload.items() if key != "weights"},
+         lambda payload: [payload]],
+        ids=["no-weights", "list"],
+    )
+    def test_load_rejects_malformed_files(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(init_model(TrainParams(seed=4)), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match="a model file is a JSON object with classes, weights and params") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_loaded_model_predicts_identically(self, tmp_path):
         corpus = noisy_corpus(n_tracks=2)
         trained = train(corpus, TrainParams(learning_rate=2.0, epochs=20, seed=8)).model
