@@ -41,7 +41,7 @@ from .metrics import (
     wcsr,
     wcsr_per_type,
 )
-from .pipeline import ExperimentConfig, IterationReport, PipelineError, compare_runs, run_experiment
+from .pipeline import ExperimentConfig, IterationReport, compare_runs, run_experiment
 from .selection import (
     ExcerptDataset,
     SelectionConfig,

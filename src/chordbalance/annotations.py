@@ -35,7 +35,7 @@ __all__ = [
 
 
 class LabFormatError(ValueError):
-    """Malformed .lab content; the message carries the 1-based line number."""
+    """Malformed .lab content; the message names the 1-based line, after the file from read_lab_file."""
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,12 @@ def write_lab(sequence: TimedLabelSequence) -> str:
 
 
 def read_lab_file(path: str | Path, track_id: str | None = None) -> TimedLabelSequence:
+    """Read a .lab file; a malformed or non-UTF-8 file raises :class:`LabFormatError` naming it."""
     path = Path(path)
-    return read_lab(path.read_text("utf-8"), track_id if track_id is not None else path.stem)
+    try:
+        return read_lab(path.read_text("utf-8"), track_id if track_id is not None else path.stem)
+    except (LabFormatError, UnicodeDecodeError) as exc:
+        raise LabFormatError(f"{path}: {exc}") from None
 
 
 def write_lab_file(path: str | Path, sequence: TimedLabelSequence) -> None:

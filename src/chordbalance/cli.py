@@ -2,7 +2,11 @@
 
 Subcommands: parse, validate, stats, evaluate, select, synth, run,
 compare.  Exit codes: 0 on success, 1 for usage errors, 2 for data
-errors (malformed labels, broken files, infeasible configs).
+errors: a ``ValueError`` or ``OSError`` raised while reading an input
+(malformed labels, broken files, infeasible configs), whose message
+names the file or config.  Any other exception is a bug: it propagates
+with its traceback and the interpreter exits 1.  A bug that happens to
+raise ``ValueError`` still exits 2.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .metrics import (
 )
 from .pipeline import (
     ExperimentConfig,
-    PipelineError,
     compare_runs,
     load_reports,
     run_experiment,
@@ -45,12 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-_DATA_ERRORS = (
-    PipelineError,
-    ValueError,
-    KeyError,
-    OSError,
-)
+_DATA_ERRORS = (ValueError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -28,6 +28,7 @@ from . import student
 from ._config import JsonConfig, load_config
 from .annotations import Interval, TimedLabelSequence
 from .augment import AugmentSpec, add_noise, derive_seed, draw_semitones, pitch_shift
+from .chords import map_to_class
 from .metrics import MetricsReport, TrackPair, _write_csv, compute_report
 from .selection import (
     DEFAULT_RARE_CLASSES,
@@ -43,16 +44,11 @@ from .synth import load_corpus
 __all__ = [
     "ExperimentConfig",
     "IterationReport",
-    "PipelineError",
     "compare_runs",
     "load_reports",
     "run_experiment",
     "write_comparison_csvs",
 ]
-
-
-class PipelineError(RuntimeError):
-    """A pipeline stage failed; the message names stage and iteration."""
 
 
 @dataclass
@@ -131,20 +127,15 @@ class IterationReport:
         }
 
 
-def _stage(stage: str, iteration: int, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(f"stage {stage!r} failed at iteration {iteration}: {exc}") from exc
-
-
 def _load_corpora(config: ExperimentConfig):
-    """The labeled, unlabeled and test corpora, checked against each other."""
+    """The three corpora, checked against each other and for what training and scoring need."""
     labeled = load_corpus(config.labeled_dir)[0]
     unlabeled = load_corpus(config.unlabeled_dir)[0]
     test = load_corpus(config.test_dir)[0]
+    if not labeled:
+        raise ValueError(f"labeled corpus {config.labeled_dir} has no tracks")
+    if all(map_to_class(lab) == "X" for _, ref in test for _, lab in ref.segments):
+        raise ValueError(f"test corpus {config.test_dir} has no reference time outside class X")
     test_ids = {track.track_id for track, _ in test}
     for name, corpus in (("unlabeled", unlabeled), ("labeled", labeled)):
         leaked = sorted(test_ids & {track.track_id for track, _ in corpus})
@@ -155,10 +146,6 @@ def _load_corpora(config: ExperimentConfig):
     if len(set(rates.values())) > 1:
         raise ValueError(f"corpora differ in frame rate: {rates}")
     return labeled, unlabeled, test
-
-
-def _pseudolabel(model, pool, smoothing_window: int) -> dict[str, student.PredictedSegments]:
-    return {tid: predict_segments(model, track, smoothing_window) for tid, track in pool.items()}
 
 
 def _augmented_excerpts(
@@ -206,11 +193,6 @@ def _augmented_excerpts(
     return corpus, pseudolabels
 
 
-def _evaluate(model, test, smoothing_window: int) -> MetricsReport:
-    pairs = [TrackPair(predict_segments(model, track, smoothing_window).sequence, ref) for track, ref in test]
-    return compute_report(pairs)
-
-
 def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[IterationReport]:
     """Execute one experiment and write its artifacts to ``output_dir``.
 
@@ -219,10 +201,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
     excerpts' pseudolabels, run_manifest.json with the config echo and
     the train/validation split, timings.csv.
     """
+    labeled, unlabeled, test = _load_corpora(config)
     out = Path(output_dir)
     (out / "models").mkdir(parents=True, exist_ok=True)
-
-    labeled, unlabeled, test = _stage("load-corpora", 0, _load_corpora, config)
 
     # One split per run; every iteration trains against the same validation set.
     split_rng = np.random.default_rng(derive_seed(config.seed, "split"))
@@ -235,6 +216,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
 
     pool = {track.track_id: track for track, _ in unlabeled}
     pool_durations = {tid: track.duration for tid, track in pool.items()}
+    window = config.smoothing_window
 
     reports: list[IterationReport] = []
     model = None
@@ -243,23 +225,22 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
         selection_report = None
         corpus = list(train_split)
         if k > 0:
-            pseudo = _stage("pseudolabel", k, _pseudolabel, model, pool, config.smoothing_window)
-            dataset, selection_report = _stage("select", k, select_balanced_subset,
-                                               list(pseudo.values()), pool_durations, selection)
-            excerpts, excerpt_pseudo = _stage("augment", k, _augmented_excerpts,
-                                              k, config.augment, pool, pseudo, dataset)
+            pseudo = {tid: predict_segments(model, track, window) for tid, track in pool.items()}
+            dataset, selection_report = select_balanced_subset(list(pseudo.values()), pool_durations,
+                                                               selection)
+            excerpts, excerpt_pseudo = _augmented_excerpts(k, config.augment, pool, pseudo, dataset)
             write_pseudolabels_jsonl(out / f"selection_{k}.jsonl", excerpt_pseudo)
             corpus += excerpts
 
         params = replace(config._train_params, seed=derive_seed(config.seed, f"train-{k}"))
-        model = _stage("train", k, student.train, corpus, params, val_split or None).model
+        model = student.train(corpus, params, val_split or None).model
         model_path = f"models/iter_{k}.json"
         save_model(model, out / model_path)
 
-        metrics = _stage("evaluate", k, _evaluate, model, test, config.smoothing_window)
         reports.append(IterationReport(
             iteration=k,
-            metrics=metrics,
+            metrics=compute_report([TrackPair(predict_segments(model, track, window).sequence, ref)
+                                    for track, ref in test]),
             selection=selection_report,
             model_path=model_path,
             wall_seconds=time.perf_counter() - started,
@@ -297,11 +278,20 @@ def _write_run_outputs(
 
 
 def load_reports(run_dir: str | Path) -> list[dict]:
-    """Read a run's reports.json back as plain dictionaries."""
+    """Read a run's reports.json back as plain dictionaries, checking the fields compare reads."""
     path = Path(run_dir) / "reports.json"
     if not path.exists():
         raise ValueError(f"no reports.json under {run_dir}")
-    return json.loads(path.read_text("utf-8"))
+    reports = json.loads(path.read_text("utf-8"))
+    if not isinstance(reports, list) or not reports:
+        raise ValueError(f"{path}: expected a non-empty list of iteration reports")
+    for i, report in enumerate(reports):
+        metrics = report.get("metrics") if isinstance(report, dict) else None
+        if not (isinstance(metrics, dict) and type(report.get("iteration")) is int
+                and all(type(metrics.get(name)) in (int, float) for name in ("wcsr", "acqa"))):
+            raise ValueError(f"{path}, report {i}: expected an integer 'iteration' and "
+                             "numeric 'metrics.wcsr' and 'metrics.acqa'")
+    return reports
 
 
 def compare_runs(

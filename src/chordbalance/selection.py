@@ -39,7 +39,6 @@ __all__ = [
     "SelectionEvent",
     "SelectionReport",
     "distribution_of_selection",
-    "read_excerpts_json",
     "read_pseudolabels_jsonl",
     "select_balanced_subset",
     "write_excerpts_json",
@@ -256,11 +255,13 @@ def read_pseudolabels_jsonl(path: str | Path) -> list[PredictedSegments]:
             try:
                 rec = json.loads(line)
                 tid = str(rec["track"])
-                entry = (
-                    Interval(float(rec["start"]), float(rec["end"])),
-                    parse_chord_label(rec["label"]),
-                    float(rec["confidence"]),
-                )
+                label, confidence = rec["label"], float(rec["confidence"])
+                if not isinstance(label, str):
+                    raise ValueError(f"label {label!r} is not a string")
+                if not 0.0 <= confidence <= 1.0:
+                    raise ValueError(f"confidence {confidence} outside [0, 1]")
+                interval = Interval(float(rec["start"]), float(rec["end"]))
+                entry = (interval, parse_chord_label(label), confidence)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             grouped.setdefault(tid, []).append(entry)
@@ -281,15 +282,6 @@ def write_excerpts_json(path: str | Path, dataset: ExcerptDataset) -> None:
         }
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
-
-
-def read_excerpts_json(path: str | Path) -> ExcerptDataset:
-    payload = json.loads(Path(path).read_text("utf-8"))
-    intervals = {
-        tid: tuple(Interval(float(s), float(e)) for s, e in spans)
-        for tid, spans in payload["tracks"].items()
-    }
-    return ExcerptDataset(intervals, ())
 
 
 def write_selection_report_csv(path: str | Path, report: SelectionReport) -> None:

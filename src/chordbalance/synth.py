@@ -17,6 +17,7 @@ class only 0.2 percent, and the remainder is no-chord.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -219,17 +220,27 @@ def load_corpus(directory: str | Path) -> tuple[list[tuple[FeatureTrack, TimedLa
     if not manifest_path.exists():
         raise ValueError(f"not a corpus directory (no manifest.json): {directory}")
     manifest = json.loads(manifest_path.read_text("utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path} is not a JSON object")
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported corpus format {manifest.get('format')!r} in {directory}")
-    for tid in manifest["tracks"]:
+    tracks, fps = manifest.get("tracks"), manifest.get("frame_rate")
+    if not isinstance(tracks, list):
+        raise ValueError(f"{manifest_path} has no 'tracks' list")
+    if tracks and not (type(fps) in (int, float) and 0 < fps < math.inf):
+        raise ValueError(f"{manifest_path} has frame_rate {fps!r}, not a finite positive number")
+    for tid in tracks:
         if not isinstance(tid, str) or tid in ("", ".", "..") or "/" in tid or "\\" in tid:
             raise ValueError(f"track id {tid!r} in {manifest_path} is not a plain file name")
-    repeated = sorted(tid for tid, count in Counter(manifest["tracks"]).items() if count > 1)
+    repeated = sorted(tid for tid, count in Counter(tracks).items() if count > 1)
     if repeated:
         raise ValueError(f"repeated track ids in {manifest_path}: {repeated}")
     corpus = []
-    for tid in manifest["tracks"]:
-        frames = np.loadtxt(directory / f"{tid}.csv", delimiter=",", ndmin=2)
-        labels = read_lab_file(directory / f"{tid}.lab", track_id=tid)
-        corpus.append((FeatureTrack(tid, frames, manifest["frame_rate"]), labels))
+    for tid in tracks:
+        csv_path = directory / f"{tid}.csv"
+        try:
+            track = FeatureTrack(tid, np.loadtxt(csv_path, delimiter=",", ndmin=2), fps)
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: {exc}") from None
+        corpus.append((track, read_lab_file(directory / f"{tid}.lab", track_id=tid)))
     return corpus, manifest

@@ -1,5 +1,7 @@
 """Interval algebra, .lab round trips and exact overlap accounting."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,15 @@ class TestReadLab:
         write_lab_file(path, s)
         assert read_lab_file(path) == s
         assert read_lab_file(path, track_id="other").track_id == "other"
+
+    @pytest.mark.parametrize("content,where", [(b"0 1 C:maj\n1 x D:min\n", "line 2: "),
+                                               (b"0 1 C:maj\n1 2 \xff\n", "'utf-8' codec")],
+                             ids=["bad-line", "not-utf8"])
+    def test_file_errors_name_the_file(self, tmp_path, content, where):
+        path = tmp_path / "song-01.lab"
+        path.write_bytes(content)
+        with pytest.raises(LabFormatError, match=f"^{re.escape(f'{path}: {where}')}"):
+            read_lab_file(path)
 
 
 class TestMergeIntervals:

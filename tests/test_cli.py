@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chordbalance import cli
+from chordbalance import cli, student
 from chordbalance.augment import AugmentSpec
 from chordbalance.pipeline import ExperimentConfig
 from chordbalance.selection import write_pseudolabels_jsonl
@@ -98,7 +99,7 @@ class TestValidate:
         path.write_text(OVERLAP_LAB)
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == cli.EXIT_DATA
-        assert "line 2" in err
+        assert f"{path}: line 2" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "nope.lab"))
@@ -159,6 +160,13 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, "evaluate", "--pred", str(pred), "--ref", str(ref))
         assert code == cli.EXIT_DATA
         assert "'two'" in err
+
+    def test_malformed_reference_names_file(self, capsys, tmp_path, lab_dirs):
+        pred, ref = lab_dirs
+        (ref / "two.lab").write_text(OVERLAP_LAB)
+        code, _, err = run_cli(capsys, "evaluate", "--pred", str(pred), "--ref", str(ref))
+        assert code == cli.EXIT_DATA
+        assert f"{ref / 'two.lab'}: line 2" in err
 
     def test_byte_identical_reruns(self, capsys, tmp_path, lab_dirs):
         pred, ref = lab_dirs
@@ -224,6 +232,21 @@ class TestSelect:
         code, _, err = run_cli(capsys, "select", "--pseudolabels", str(jsonl), "--config", str(config))
         assert code == cli.EXIT_DATA
         assert f"{jsonl}, line 1: 'track'" in err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [({"label": 5}, "label 5 is not a string"), ({"confidence": 1.5}, "confidence 1.5 outside [0, 1]")],
+        ids=["numeric-label", "confidence"],
+    )
+    def test_malformed_pseudolabel_line_names_file_and_line(self, capsys, tmp_path, select_inputs, edit,
+                                                            message):
+        jsonl, config = select_inputs
+        lines = jsonl.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), **edit})
+        jsonl.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "select", "--pseudolabels", str(jsonl), "--config", str(config))
+        assert code == cli.EXIT_DATA
+        assert f"{jsonl}, line 2: {message}" in err
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -375,7 +398,8 @@ class TestRunAndCompare:
         code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
                                "run", "--config", str(bad))
         assert code == cli.EXIT_DATA
-        assert "load-corpora" in err
+        assert f"error: not a corpus directory (no manifest.json): {tmp_path / 'nope'}" in err
+        assert not (tmp_path / "out" / "models").exists()
 
     def test_run_rejects_corpora_with_different_frame_rates(self, capsys, tmp_path, experiment_config):
         spec = CorpusSpec(n_tracks=2, track_length_range=(15.0, 20.0), frame_rate=20.0, seed=73,
@@ -388,7 +412,7 @@ class TestRunAndCompare:
         code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
                                "run", "--config", str(bad))
         assert code == cli.EXIT_DATA
-        assert "stage 'load-corpora' failed at iteration 0: corpora differ in frame rate" in err
+        assert "error: corpora differ in frame rate" in err
 
     def test_run_config_without_required_field(self, capsys, tmp_path, experiment_config):
         raw = json.loads(experiment_config.read_text())
@@ -464,6 +488,60 @@ class TestRunAndCompare:
         assert "class weight for unknown class 'Dim'" in err
         assert not (tmp_path / "out" / "reports.json").exists()
 
+    @staticmethod
+    def run_with_corpus(capsys, tmp_path, experiment_config, key, edit):
+        """Run on a copy of the corpus under ``key`` that ``edit(directory)`` has changed."""
+        raw = json.loads(experiment_config.read_text())
+        corpus = tmp_path / key
+        shutil.copytree(raw[key], corpus)
+        edit(corpus)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**raw, key: str(corpus)}))
+        return run_cli(capsys, "--output-dir", str(tmp_path / "out"), "run", "--config", str(bad))
+
+    def test_run_bug_is_not_a_data_error(self, tmp_path, experiment_config, monkeypatch):
+        def broken_train(*args, **kwargs):
+            raise TypeError("a bug in training")
+
+        monkeypatch.setattr(student, "train", broken_train)
+        with pytest.raises(TypeError, match="a bug in training"):
+            cli.main(["--output-dir", str(tmp_path / "out"), "run", "--config", str(experiment_config)])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda m: [m], lambda m: {k: v for k, v in m.items() if k != "tracks"}],
+        ids=["list", "no-tracks"],
+    )
+    def test_run_malformed_pool_manifest(self, capsys, tmp_path, experiment_config, edit):
+        def rewrite(corpus):
+            path = corpus / "manifest.json"
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+        code, _, err = self.run_with_corpus(capsys, tmp_path, experiment_config, "unlabeled_dir", rewrite)
+        assert code == cli.EXIT_DATA
+        assert f"error: {tmp_path / 'unlabeled_dir' / 'manifest.json'}" in err
+
+    def test_run_malformed_pool_lab(self, capsys, tmp_path, experiment_config):
+        def corrupt(corpus):
+            lab = corpus / "pool-0001.lab"
+            lines = lab.read_text().splitlines(keepends=True)
+            lab.write_text(lines[0] + "1.0 x C:maj\n" + "".join(lines[2:]))
+
+        code, _, err = self.run_with_corpus(capsys, tmp_path, experiment_config, "unlabeled_dir", corrupt)
+        assert code == cli.EXIT_DATA
+        assert f"error: {tmp_path / 'unlabeled_dir' / 'pool-0001.lab'}: line 2: non-numeric time" in err
+
+    def test_run_test_corpus_labelled_only_x(self, capsys, tmp_path, experiment_config):
+        def relabel(corpus):
+            for path in corpus.glob("*.lab"):
+                times = [line.split("\t")[:2] for line in path.read_text().splitlines()]
+                path.write_text("".join(f"{start}\t{end}\tX\n" for start, end in times))
+
+        code, _, err = self.run_with_corpus(capsys, tmp_path, experiment_config, "test_dir", relabel)
+        assert code == cli.EXIT_DATA
+        assert f"test corpus {tmp_path / 'test_dir'} has no reference time outside class X" in err
+        assert not (tmp_path / "out" / "models").exists()
+
     def test_compare_two_runs(self, capsys, tmp_path, experiment_config):
         run_dirs = []
         for sub in ("a", "b"):
@@ -485,3 +563,13 @@ class TestRunAndCompare:
         code, _, err = run_cli(capsys, "compare", str(tmp_path))
         assert code == cli.EXIT_DATA
         assert "reports.json" in err
+
+    @pytest.mark.parametrize("reports", [{"a": 1}, [{"iteration": 0, "selection": None}]],
+                             ids=["object", "no-metrics"])
+    def test_compare_malformed_reports(self, capsys, tmp_path, reports):
+        path = tmp_path / "run" / "reports.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(reports))
+        code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "cmp"), "compare", str(path.parent))
+        assert code == cli.EXIT_DATA
+        assert f"error: {path}" in err

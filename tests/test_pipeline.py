@@ -9,7 +9,6 @@ import pytest
 from chordbalance.augment import AugmentSpec
 from chordbalance.pipeline import (
     ExperimentConfig,
-    PipelineError,
     compare_runs,
     load_reports,
     run_experiment,
@@ -290,14 +289,24 @@ class TestRun:
 class TestGuards:
     def test_test_pool_overlap_rejected(self, corpora, tmp_path):
         config = make_config(corpora, unlabeled_dir=corpora["test"])
-        message = "stage 'load-corpora' failed at iteration 0: unlabeled corpus shares tracks with the test corpus"
-        with pytest.raises(PipelineError, match=re.escape(message)):
+        message = "unlabeled corpus shares tracks with the test corpus"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
             run_experiment(config, tmp_path)
 
-    def test_missing_corpus_names_stage(self, corpora, tmp_path):
-        config = make_config(corpora, labeled_dir=str(tmp_path / "nope"))
-        with pytest.raises(PipelineError, match="load-corpora.*iteration 0"):
+    def test_missing_corpus_leaves_no_models(self, corpora, tmp_path):
+        missing = tmp_path / "nope"
+        config = make_config(corpora, labeled_dir=str(missing))
+        message = f"not a corpus directory (no manifest.json): {missing}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out" / "models").exists()
+
+    def test_empty_labeled_corpus_rejected(self, corpora, tmp_path):
+        save_corpus(tmp_path / "empty", [])
+        config = make_config(corpora, labeled_dir=str(tmp_path / "empty"))
+        with pytest.raises(ValueError, match="labeled corpus .*empty has no tracks"):
+            run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out" / "models").exists()
 
 
 class TestCompare:
@@ -339,4 +348,22 @@ class TestCompare:
 
     def test_load_reports_missing(self, tmp_path):
         with pytest.raises(ValueError, match="reports.json"):
+            load_reports(tmp_path)
+
+    @pytest.mark.parametrize(
+        "reports,where",
+        [
+            ({"a": 1}, "expected a non-empty list"),
+            ([], "expected a non-empty list"),
+            ([{"iteration": 0, "metrics": {"wcsr": 0.5, "acqa": 0.4}}, {"iteration": 1}], "report 1"),
+            ([{"iteration": "0", "metrics": {"wcsr": 0.5, "acqa": 0.4}}], "report 0"),
+            ([{"iteration": 0, "metrics": {"wcsr": 0.5, "acqa": None}}], "report 0"),
+            ([7], "report 0"),
+        ],
+        ids=["object", "empty", "no-metrics", "string-iteration", "null-acqa", "number"],
+    )
+    def test_load_reports_rejects_malformed(self, tmp_path, reports, where):
+        path = tmp_path / "reports.json"
+        path.write_text(json.dumps(reports))
+        with pytest.raises(ValueError, match=re.escape(f"{path}") + ".*" + where):
             load_reports(tmp_path)

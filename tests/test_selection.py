@@ -1,6 +1,7 @@
 """Rare-class excerpt selection: budgets, windows, merging, accounting."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from chordbalance.selection import (
     SelectionConfig,
     SelectionReport,
     distribution_of_selection,
-    read_excerpts_json,
     read_pseudolabels_jsonl,
     select_balanced_subset,
     write_excerpts_json,
@@ -348,9 +348,7 @@ class TestRoundTrips:
         dataset = ExcerptDataset({"a": (Interval(0.0, 8.0), Interval(10.0, 18.0))})
         path = tmp_path / "excerpts.json"
         write_excerpts_json(path, dataset)
-        loaded = read_excerpts_json(path)
-        assert loaded.intervals == dataset.intervals
-        assert loaded.events == ()
+        assert json.loads(path.read_text("utf-8")) == {"tracks": {"a": [[0.0, 8.0], [10.0, 18.0]]}}
 
     def test_report_csv(self, tmp_path):
         from chordbalance.selection import ClassSelection

@@ -1,6 +1,7 @@
 """Synthetic corpus generator: templates, determinism, persistence."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,35 @@ class TestPersistence:
     def test_load_rejects_track_id_that_is_not_a_file_name(self, tmp_path, tid):
         self._with_tracks(tmp_path, ["rt-0000", tid])
         with pytest.raises(ValueError, match="not a plain file name"):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: [m], "is not a JSON object"),
+            (lambda m: {k: v for k, v in m.items() if k != "tracks"}, "has no 'tracks' list"),
+            (lambda m: {**m, "tracks": "rt-0000"}, "has no 'tracks' list"),
+            (lambda m: {k: v for k, v in m.items() if k != "frame_rate"}, "has frame_rate None"),
+            (lambda m: {**m, "frame_rate": "10"}, "has frame_rate '10'"),
+            (lambda m: {**m, "frame_rate": 0}, "has frame_rate 0"),
+        ],
+        ids=["list", "no-tracks", "string-tracks", "no-frame-rate", "string-frame-rate", "zero-frame-rate"],
+    )
+    def test_load_rejects_malformed_manifest(self, tmp_path, edit, message):
+        self._with_tracks(tmp_path, ["rt-0000", "rt-0001"])
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape(f"{path} {message}")):
+            load_corpus(tmp_path)
+
+    def test_load_names_bad_feature_csv(self, tmp_path):
+        self._with_tracks(tmp_path, ["rt-0000", "rt-0001"])
+        path = tmp_path / "rt-0001.csv"
+        path.write_text("0.5,0.5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: frames must have shape")):
+            load_corpus(tmp_path)
+        path.write_text("0.5,x\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             load_corpus(tmp_path)
 
     def test_load_rejects_repeated_track_ids(self, tmp_path):
