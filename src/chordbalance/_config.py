@@ -1,7 +1,8 @@
 """The one path from a parsed JSON object to a config dataclass, and back:
 experiment configs, their ``augment`` object, ``select`` configs, corpus
 specs and saved model params all load through :func:`load_config`, and
-those saved as JSON echo themselves through :class:`JsonConfig`.
+those saved as JSON echo themselves through :class:`JsonConfig`.  Every
+JSON file is read by :func:`read_json`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,15 @@ import types
 import typing
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, fields, is_dataclass
+from pathlib import Path
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON value in the file ``path``; a syntax error is a ``ValueError`` naming the file."""
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_config(cls, raw, name: str, defaults: Mapping | None = None,

@@ -12,12 +12,11 @@ raise ``ValueError`` still exits 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ._config import load_config
+from ._config import load_config, read_json
 from .annotations import read_lab_file
 from .chords import label_to_string, parse_chord_label
 from .metrics import (
@@ -114,7 +113,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    raw = json.loads(Path(args.config).read_text("utf-8"))
+    raw = read_json(args.config)
     config = load_config(SelectionConfig, raw, "selection config",
                          extra={"track_durations": dict[str, float]})
     durations = {tid: float(seconds) for tid, seconds in raw["track_durations"].items()}
@@ -132,7 +131,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    raw = {} if args.spec is None else json.loads(Path(args.spec).read_text("utf-8"))
+    raw = {} if args.spec is None else read_json(args.spec)
     spec = spec_from_dict(raw)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import student
-from ._config import JsonConfig, load_config
+from ._config import JsonConfig, load_config, read_json
 from .annotations import Interval, TimedLabelSequence
 from .augment import AugmentSpec, add_noise, derive_seed, draw_semitones, pitch_shift
 from .chords import map_to_class
@@ -100,7 +100,7 @@ class ExperimentConfig(JsonConfig):
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        return load_config(cls, json.loads(Path(path).read_text("utf-8")), "experiment config")
+        return load_config(cls, read_json(path), "experiment config")
 
 
 @dataclass
@@ -282,7 +282,7 @@ def load_reports(run_dir: str | Path) -> list[dict]:
     path = Path(run_dir) / "reports.json"
     if not path.exists():
         raise ValueError(f"no reports.json under {run_dir}")
-    reports = json.loads(path.read_text("utf-8"))
+    reports = read_json(path)
     if not isinstance(reports, list) or not reports:
         raise ValueError(f"{path}: expected a non-empty list of iteration reports")
     for i, report in enumerate(reports):

@@ -246,7 +246,7 @@ def write_pseudolabels_jsonl(path: str | Path, pseudolabels: Iterable[PredictedS
 
 def read_pseudolabels_jsonl(path: str | Path) -> list[PredictedSegments]:
     """Read pseudolabels back, one PredictedSegments per track."""
-    grouped: dict[str, list[tuple[Interval, ChordLabel, float]]] = {}
+    grouped: dict[str, list[tuple[Interval, ChordLabel, float, int]]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -261,15 +261,19 @@ def read_pseudolabels_jsonl(path: str | Path) -> list[PredictedSegments]:
                 if not 0.0 <= confidence <= 1.0:
                     raise ValueError(f"confidence {confidence} outside [0, 1]")
                 interval = Interval(float(rec["start"]), float(rec["end"]))
-                entry = (interval, parse_chord_label(label), confidence)
+                entry = (interval, parse_chord_label(label), confidence, lineno)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             grouped.setdefault(tid, []).append(entry)
     out = []
     for tid, entries in grouped.items():
         entries.sort(key=lambda e: e[0].start)
-        seq = TimedLabelSequence(tid, tuple((iv, lab) for iv, lab, _ in entries))
-        out.append(PredictedSegments(seq, tuple(conf for _, _, conf in entries)))
+        for (a, _, _, line_a), (b, _, _, line_b) in zip(entries, entries[1:]):
+            if b.start < a.end:
+                raise ValueError(f"{path}, lines {line_a} and {line_b}: overlapping segments of track "
+                                 f"{tid!r}: [{a.start}, {a.end}) and [{b.start}, {b.end})")
+        seq = TimedLabelSequence(tid, tuple((iv, lab) for iv, lab, _, _ in entries))
+        out.append(PredictedSegments(seq, tuple(conf for _, _, conf, _ in entries)))
     return out
 
 

@@ -9,7 +9,11 @@ the classifier.
 
 Training passes (logits, softmax, loss and gradient of every frame) run
 in float32; the weights they update stay float64, and so do posteriors,
-predictions and saved models.
+predictions and saved models.  Every pass lays its logits out
+class-major, as (classes, frames), so each softmax max and sum runs
+over the classes as whole vectors of frames.  A training pass cuts the
+frames into blocks, and one worker thread runs all of a block's work,
+from its logits to its share of the weight gradient.
 
 The model's outputs are one fixed table, ``MODEL_CLASSES``: every
 scoreable chord class at every root, rendered as a chord label ("C:maj"
@@ -32,7 +36,7 @@ import numpy as np
 from scipy.ndimage import median_filter
 
 from . import focal
-from ._config import JsonConfig, load_config
+from ._config import JsonConfig, load_config, read_json
 from .annotations import Interval, TimedLabelSequence
 from .chords import (
     CHORD_CLASSES,
@@ -59,8 +63,8 @@ __all__ = [
 
 N_CHROMA = 12
 _INIT_SCALE = 0.01
-# Rows per block of a training pass: a block of logits (2,048 x 109
-# floats, 0.9 MiB) stays in L2 cache through its softmax and loss.
+# Frames per block of a training pass: a block of logits (109 x 2,048
+# floats, 0.9 MiB) stays in L2 cache through its softmax, loss and gradient.
 _BLOCK_ROWS = 2048
 # Every per-frame array of a training pass; the master weights stay float64.
 _PASS_DTYPE = np.float32
@@ -156,12 +160,11 @@ class ClassifierModel:
         if not np.isfinite(self.weights).all():
             raise ValueError("non-finite model weights")
 
-    def logits(self, frames: np.ndarray) -> np.ndarray:
-        x = np.asarray(frames, dtype=float)
-        return x @ self.weights[:, :N_CHROMA].T + self.weights[:, N_CHROMA]
-
     def posteriors(self, frames: np.ndarray) -> np.ndarray:
-        return _softmax(self.logits(frames))
+        """(frames, classes) softmax rows, a view of the class-major array."""
+        z = self.weights[:, :N_CHROMA] @ np.asarray(frames, dtype=float).T
+        z += self.weights[:, N_CHROMA:]
+        return _class_softmax(z).T
 
 
 @dataclass
@@ -189,11 +192,14 @@ class PredictedSegments:
                 raise ValueError(f"confidence {c} outside [0, 1]")
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row softmax computed in place: ``z`` is overwritten and returned."""
-    z -= z.max(axis=-1, keepdims=True)
+def _class_softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax of class-major (classes, frames) logits, down each column, in place.
+
+    The max and the sum run over the classes as whole rows of frames.
+    """
+    z -= z.max(axis=0)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= z.sum(axis=0)
     return z
 
 
@@ -203,28 +209,35 @@ def _workers(blocks: int) -> int:
     return max(1, min(cpus, blocks))
 
 
-def _block_losses(z, y, gamma, weights, out, grad) -> int:
-    return focal.frame_losses(_softmax(z), y, gamma, weights, out, grad)
+def _run_block(w, xT, y, weights, gamma, z, out, grad):
+    """Clamp count of one block and, with ``grad``, its share of the weight gradient.
 
-
-def _blocked_pass(pool, w, x, y, weights, gamma, buf, losses, grad) -> tuple[float, int]:
-    """Mean focal loss of the rows of ``x`` and its clamp count, in row blocks.
-
-    The pass runs in the dtype of ``x``, to which ``w`` is cast once.
-    This thread runs each block's product into ``buf`` and hands its
-    softmax and per-frame losses to ``pool``, so BLAS runs here only,
-    beside the workers.  Every row and the mean come out as in one
-    unblocked pass; with ``grad``, ``buf`` then holds the logit gradient.
+    ``z`` is the block's own (classes, frames) buffer; the focal
+    objective reads its (frames, classes) view.
     """
-    w = w.astype(x.dtype)
+    clamps = focal.frame_losses(_class_softmax(np.matmul(w, xT, out=z)).T, y, gamma, weights, out, grad)
+    return clamps, z @ xT.T if grad else None
+
+
+def _blocked_pass(pool, w, xT, y, weights, gamma, buf, losses, grad) -> tuple[float, int, np.ndarray | None]:
+    """Mean focal loss of the frames of ``xT``, its clamp count and, with ``grad``, the weight gradient.
+
+    The pass runs in the dtype of ``xT`` (features, frames), to which
+    ``w`` is cast once.  Each block of frames runs wholly on a worker of
+    ``pool``, in its own row of ``buf``.  The blocks' gradient shares are
+    added in float64 in block order, so no byte depends on the worker count.
+    """
+    w = w.astype(xT.dtype)
+    n = xT.shape[1]
     jobs = []
-    for a in range(0, len(x), _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, len(x))
-        z = np.matmul(x[a:b], w.T, out=buf[a:b])
-        jobs.append(pool.submit(_block_losses, z, y[a:b], gamma,
-                                None if weights is None else weights[a:b], losses[a:b], grad))
-    clamps = sum(job.result() for job in jobs)
-    return float(losses[:len(x)].mean(dtype=np.float64)), clamps
+    for k, a in enumerate(range(0, n, _BLOCK_ROWS)):
+        b = min(a + _BLOCK_ROWS, n)
+        z = buf[k, :len(MODEL_CLASSES) * (b - a)].reshape(len(MODEL_CLASSES), b - a)
+        jobs.append(pool.submit(_run_block, w, xT[:, a:b], y[a:b], None if weights is None else weights[a:b],
+                                gamma, z, losses[a:b], grad))
+    clamps, shares = zip(*(job.result() for job in jobs))
+    step = sum(shares, np.zeros(w.shape)) if grad else None
+    return float(losses[:n].mean(dtype=np.float64)), sum(clamps), step
 
 
 def init_model(params: TrainParams) -> ClassifierModel:
@@ -269,8 +282,8 @@ def train(
     With ``params.patience`` set and a validation corpus given, training
     stops once the validation loss has not improved for that many epochs
     and the best-validation weights are restored.  Zero epochs return
-    the freshly initialized model unchanged.  Each pass runs in float32
-    and its weight step is widened to the float64 weights.
+    the freshly initialized model unchanged.  Each pass runs in float32;
+    its weight step sums the blocks' float32 shares into float64.
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -279,25 +292,25 @@ def train(
         wvec = wvec.astype(_PASS_DTYPE)
 
     def design(tracks):
-        """Inputs with a bias column, targets and per-frame weights."""
+        """Inputs as (features, frames) with a bias row, targets and per-frame weights."""
         y = np.concatenate([frame_targets(track, labels) for track, labels in tracks])
-        x = np.ones((len(y), N_CHROMA + 1), _PASS_DTYPE)
-        np.concatenate([track.frames for track, _ in tracks], out=x[:, :N_CHROMA])
-        return x, y, wvec[y] if wvec is not None else None
+        xT = np.ones((N_CHROMA + 1, len(y)), _PASS_DTYPE)
+        np.concatenate([track.frames.T for track, _ in tracks], axis=1, out=xT[:N_CHROMA])
+        return xT, y, wvec[y] if wvec is not None else None
 
-    x, y, frame_w = design(corpus)
-    n = x.shape[0]
+    xT, y, frame_w = design(corpus)
+    n = len(y)
     use_val = validation is not None and len(validation) > 0 and params.patience is not None
     if use_val:
-        vx, vy, vframe_w = design(validation)
+        vxT, vy, vframe_w = design(validation)
 
     gamma = params.gamma if params.loss == "focal" else 0.0
-    # Every pass shares one logit/gradient buffer and one loss vector.
-    # x.T is laid out once: ``xT @ grad`` runs the step's product along its
-    # long axis and is bit-equal to ``grad.T @ x`` at one BLAS thread.
-    rows = max(n, len(vx)) if use_val else n
-    buf, losses = np.empty((rows, len(MODEL_CLASSES)), _PASS_DTYPE), np.empty(rows, _PASS_DTYPE)
-    xT = np.ascontiguousarray(x.T)
+    # Every pass shares one class-major buffer, a full block per row, and
+    # one loss vector.
+    rows = max(n, len(vy)) if use_val else n
+    blocks = -(-rows // _BLOCK_ROWS)
+    buf = np.empty((blocks, len(MODEL_CLASSES) * _BLOCK_ROWS), _PASS_DTYPE)
+    losses = np.empty(rows, _PASS_DTYPE)
 
     w = init_model(params).weights
     train_losses: list[float] = []
@@ -309,21 +322,21 @@ def train(
     epochs_run = 0
     clamps = 0
 
-    with ThreadPoolExecutor(_workers(-(-rows // _BLOCK_ROWS))) as pool:
-        def mean_loss(w, x, y, frame_w, grad=False):
+    with ThreadPoolExecutor(_workers(blocks)) as pool:
+        def mean_loss(w, xT, y, frame_w, grad=False):
             nonlocal clamps
-            loss, count = _blocked_pass(pool, w, x, y, frame_w, gamma, buf, losses, grad)
+            loss, count, step = _blocked_pass(pool, w, xT, y, frame_w, gamma, buf, losses, grad)
             clamps += count
-            return loss
+            return loss, step
 
         for epoch in range(params.epochs):
-            train_losses.append(mean_loss(w, x, y, frame_w, grad=True))
-            step = (xT @ buf[:n]).T.astype(np.float64)
+            loss, step = mean_loss(w, xT, y, frame_w, grad=True)
+            train_losses.append(loss)
             w = w - params.learning_rate * step / n
             epochs_run = epoch + 1
 
             if use_val:
-                vloss = mean_loss(w, vx, vy, vframe_w)
+                vloss = mean_loss(w, vxT, vy, vframe_w)[0]
                 val_losses.append(vloss)
                 if vloss < best_val:
                     best_val = vloss
@@ -338,7 +351,7 @@ def train(
         if use_val and best_w is not None:
             w = best_w
             epochs_run = best_epoch
-        final_loss = mean_loss(w, x, y, frame_w)
+        final_loss = mean_loss(w, xT, y, frame_w)[0]
     focal._note_clamps(clamps)
     return TrainResult(ClassifierModel(w, params), final_loss, epochs_run, train_losses, val_losses, clamps)
 
@@ -364,6 +377,7 @@ def predict_segments(
     idx = np.argmax(probs, axis=1)
     if smoothing_window > 1:
         idx = median_filter(idx, size=smoothing_window, mode="nearest")
+    emitted = probs[np.arange(len(idx)), idx]
 
     bounds = [0, *(int(b) for b in np.flatnonzero(np.diff(idx)) + 1), len(idx)]
     segments = []
@@ -372,7 +386,7 @@ def predict_segments(
     for a, b in zip(bounds, bounds[1:]):
         cls = int(idx[a])
         segments.append((Interval(a / rate, b / rate), _OUTPUT_LABELS[cls]))
-        confidences.append(float(np.clip(probs[a:b, cls].mean(), 0.0, 1.0)))
+        confidences.append(min(max(float(emitted[a:b].sum()) / (b - a), 0.0), 1.0))
     sequence = TimedLabelSequence(track.track_id, tuple(segments))
     return PredictedSegments(sequence, tuple(confidences))
 
@@ -388,7 +402,7 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ClassifierModel:
-    payload = json.loads(Path(path).read_text("utf-8"))
+    payload = read_json(path)
     if not isinstance(payload, dict) or not payload.keys() >= {"classes", "weights", "params"}:
         raise ValueError(f"{path}: a model file is a JSON object with classes, weights and params")
     if payload["classes"] != list(MODEL_CLASSES):

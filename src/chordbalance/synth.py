@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._config import JsonConfig, load_config
+from ._config import JsonConfig, load_config, read_json
 from .annotations import Interval, TimedLabelSequence, read_lab_file, write_lab_file
 from .augment import derive_seed
 from .chords import CHORD_CLASSES, NO_CHORD, REPRESENTATIVE_QUALITY, ChordLabel
@@ -219,7 +219,7 @@ def load_corpus(directory: str | Path) -> tuple[list[tuple[FeatureTrack, TimedLa
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"not a corpus directory (no manifest.json): {directory}")
-    manifest = json.loads(manifest_path.read_text("utf-8"))
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path} is not a JSON object")
     if manifest.get("format") != MANIFEST_FORMAT:

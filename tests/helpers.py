@@ -84,7 +84,7 @@ def frame_accuracy(model, corpus):
     total = 0
     for track, labels in corpus:
         y = frame_targets(track, labels)
-        pred = np.argmax(model.logits(track.frames), axis=1)
+        pred = model.posteriors(track.frames).argmax(axis=1)
         hits += int((pred == y).sum())
         total += len(y)
     if total == 0:

@@ -9,8 +9,8 @@ The frame-target oracle walks the frames one at a time instead of
 slicing whole segments and finds each target by its label's name in
 ``MODEL_CLASSES``; the class-weight oracle parses every output's name;
 and the trainer oracle takes each pass over the
-whole batch at once in fresh arrays, on one thread, and the weight step
-as ``grad.T @ x``.
+whole batch at once in fresh arrays, on one thread, and sums the weight
+step's block products ``grad[a:b].T @ x[a:b]`` in a plain loop.
 Label-to-class reduction and the batch objective are shared with the
 library on purpose; the duration arithmetic, the frame assignment and
 the training loop are what gets verified here.
@@ -22,7 +22,7 @@ import numpy as np
 
 from chordbalance import focal
 from chordbalance.chords import PITCH_NAMES, REPRESENTATIVE_QUALITY, map_to_class, parse_chord_label
-from chordbalance.student import MODEL_CLASSES, N_CHROMA, init_model
+from chordbalance.student import _BLOCK_ROWS, MODEL_CLASSES, N_CHROMA, init_model
 from chordbalance.synth import CHORD_CLASS_INTERVALS, chord_template, no_chord_template
 
 STEP = 0.01
@@ -149,9 +149,10 @@ def class_weight_vector(weights):
 
 
 def _softmax(z):
-    shifted = z - z.max(axis=-1, keepdims=True)
+    """Softmax down axis 0 of (classes, frames) logits, returned as (frames, classes) rows."""
+    shifted = z - z.max(axis=0)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return (e / e.sum(axis=0)).T
 
 
 def train(corpus, params, validation=None, dtype=np.float64):
@@ -160,7 +161,8 @@ def train(corpus, params, validation=None, dtype=np.float64):
     Full-batch gradient descent with the same init, objective, early
     stopping and best-weight restore as ``student.train``.  Every pass
     runs in ``dtype``: inputs, frame weights and a copy of the weights
-    are cast to it, and the weight step is widened to the float64 weights.
+    are cast to it.  The weight step sums the gradient products of
+    ``student._BLOCK_ROWS`` frames at a time in float64, in block order.
     """
     wvec = class_weight_vector(params.class_weights) if params.class_weights is not None else None
     gamma = params.gamma if params.loss == "focal" else 0.0
@@ -172,7 +174,13 @@ def train(corpus, params, validation=None, dtype=np.float64):
         return x, y, wvec[y].astype(dtype) if wvec is not None else None
 
     def loss_and_grad(w, x, y, frame_w):
-        return focal.loss_and_logit_grad(_softmax(x @ w.astype(dtype).T), y, gamma, frame_w)
+        return focal.loss_and_logit_grad(_softmax(w.astype(dtype) @ x.T), y, gamma, frame_w)
+
+    def step(grad, x):
+        total = np.zeros((len(MODEL_CLASSES), N_CHROMA + 1))
+        for a in range(0, len(x), _BLOCK_ROWS):
+            total += grad[a:a + _BLOCK_ROWS].T @ x[a:a + _BLOCK_ROWS]
+        return total
 
     x, y, frame_w = design(corpus)
     n = x.shape[0]
@@ -186,7 +194,7 @@ def train(corpus, params, validation=None, dtype=np.float64):
     for _ in range(params.epochs):
         loss, grad = loss_and_grad(w, x, y, frame_w)
         train_losses.append(loss)
-        w = w - params.learning_rate * (grad.T @ x).astype(np.float64) / n
+        w = w - params.learning_rate * step(grad, x) / n
         if use_val:
             vloss = loss_and_grad(w, vx, vy, vframe_w)[0]
             val_losses.append(vloss)

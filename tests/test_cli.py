@@ -248,6 +248,17 @@ class TestSelect:
         assert code == cli.EXIT_DATA
         assert f"{jsonl}, line 2: {message}" in err
 
+    def test_overlapping_pseudolabel_lines_name_file_and_lines(self, capsys, tmp_path, select_inputs):
+        jsonl, config = select_inputs
+        lines = jsonl.read_text().splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        assert first["track"] == second["track"] and second["start"] == first["end"]
+        lines[1] = json.dumps({**second, "start": (first["start"] + first["end"]) / 2})
+        jsonl.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "select", "--pseudolabels", str(jsonl), "--config", str(config))
+        assert code == cli.EXIT_DATA
+        assert f"{jsonl}, lines 1 and 2: overlapping segments of track {first['track']!r}" in err
+
     @pytest.mark.parametrize(
         "edit,message",
         [
@@ -414,6 +425,15 @@ class TestRunAndCompare:
         assert code == cli.EXIT_DATA
         assert "error: corpora differ in frame rate" in err
 
+    def test_run_truncated_config_names_file(self, capsys, tmp_path, experiment_config):
+        text = json.dumps(json.loads(experiment_config.read_text()), indent=2)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text[:text.index("\n") + 1])
+        code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"), "run", "--config", str(bad))
+        assert code == cli.EXIT_DATA
+        assert f"error: {bad}: Expecting property name enclosed in double quotes: line 2 column 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_config_without_required_field(self, capsys, tmp_path, experiment_config):
         raw = json.loads(experiment_config.read_text())
         del raw["labeled_dir"]
@@ -573,3 +593,11 @@ class TestRunAndCompare:
         code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "cmp"), "compare", str(path.parent))
         assert code == cli.EXIT_DATA
         assert f"error: {path}" in err
+
+    def test_compare_truncated_reports_names_file(self, capsys, tmp_path):
+        path = tmp_path / "run" / "reports.json"
+        path.parent.mkdir()
+        path.write_text('[{"iteration": 0, "metrics": {"wcsr": 0.5,')
+        code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "cmp"), "compare", str(path.parent))
+        assert code == cli.EXIT_DATA
+        assert f"error: {path}: Expecting property name enclosed in double quotes" in err

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import median_filter
 
 from chordbalance import focal, student
 from chordbalance.chords import CHORD_CLASSES, map_to_class, parse_chord_label
@@ -417,6 +418,35 @@ class TestPredictSegments:
             base = len(predict_segments(model, track, 1).sequence.segments)
             for window in (3, 5, 7, 9):
                 assert len(predict_segments(model, track, window).sequence.segments) <= base
+
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_matches_per_frame_reference(self, window):
+        """Segments, labels and confidences against posteriors taken one frame at a time."""
+        rng = np.random.default_rng(12)
+        model = ClassifierModel(rng.normal(0.0, 1.0, (109, 13)))
+        runs = rng.permutation(np.arange(1, 41))  # one run of every length from 1 to 40 frames
+        frames = np.vstack([rng.uniform(0.0, 1.0, 12) + rng.normal(0.0, 0.01, (length, 12)) for length in runs])
+        track = FeatureTrack("t", frames, frame_rate=10.0)
+
+        rows = []
+        for frame in frames:
+            z = model.weights[:, :12] @ frame + model.weights[:, 12]
+            e = np.exp(z - z.max())
+            rows.append(e / e.sum())
+        probs = np.array(rows)
+        idx = median_filter(probs.argmax(axis=1), size=window, mode="nearest")
+        bounds = [0, *(i for i in range(1, len(idx)) if idx[i] != idx[i - 1]), len(idx)]
+        spans = list(zip(bounds, bounds[1:]))
+        assert min(b - a for a, b in spans) == 1 and max(b - a for a, b in spans) >= 40
+
+        posteriors = model.posteriors(frames)
+        assert posteriors.shape == (len(frames), 109)
+        np.testing.assert_allclose(posteriors.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        pred = predict_segments(model, track, smoothing_window=window)
+        assert [(iv.start, iv.end, str(label)) for iv, label in pred.sequence.segments] == [
+            (a / 10.0, b / 10.0, MODEL_CLASSES[idx[a]]) for a, b in spans]
+        expected = [probs[a:b, idx[a]].mean() for a, b in spans]
+        np.testing.assert_allclose(pred.confidences, expected, rtol=0, atol=1e-15)
 
     def test_input_validation(self):
         model = self.arrow_model()
