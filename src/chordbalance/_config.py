@@ -16,10 +16,11 @@ from pathlib import Path
 
 
 def read_json(path: str | Path) -> object:
-    """The JSON value in the file ``path``; a syntax error is a ``ValueError`` naming the file."""
+    """The JSON value in the file ``path``; a syntax error or non-UTF-8
+    text is a ``ValueError`` naming the file."""
     try:
         return json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Final
 
@@ -63,6 +64,10 @@ REPRESENTATIVE_QUALITY: Final = {
 _ROOT_RE = re.compile(r"^([A-G])([#b]*)")
 _DEGREE_RE = re.compile(r"\*?[#b]{0,2}(?:1[0-3]|[1-9])$")
 _BASS_RE = re.compile(r"[#b]{0,2}(?:1[0-3]|[1-9])$")
+
+# Distinct label strings whose parse is kept; a corpus evaluation reads
+# about 7k distinct strings, so this bound leaves headroom.
+_PARSE_CACHE_SIZE: Final = 2**14
 
 
 class ChordParseError(ValueError):
@@ -162,8 +167,15 @@ def _check_degrees(degrees: str, text: str) -> None:
             raise ChordParseError(f"invalid degree {token.strip()!r} in {text!r}")
 
 
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_chord_label(text: str) -> ChordLabel:
     """Parse a chord label string.
+
+    Results are interned per distinct string in a bounded cache, so
+    equal strings give the same immutable :class:`ChordLabel` object.
+    Errors are not cached: a malformed string raises on every call, with
+    the same message.  No result depends on the cache; it shows only in
+    object identity and memory.
 
     Parameters
     ----------

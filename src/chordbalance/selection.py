@@ -245,26 +245,31 @@ def write_pseudolabels_jsonl(path: str | Path, pseudolabels: Iterable[PredictedS
 
 
 def read_pseudolabels_jsonl(path: str | Path) -> list[PredictedSegments]:
-    """Read pseudolabels back, one PredictedSegments per track."""
+    """Read pseudolabels back, one PredictedSegments per track; malformed
+    or non-UTF-8 input raises ``ValueError`` naming the file."""
     grouped: dict[str, list[tuple[Interval, ChordLabel, float, int]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                tid = str(rec["track"])
-                label, confidence = rec["label"], float(rec["confidence"])
-                if not isinstance(label, str):
-                    raise ValueError(f"label {label!r} is not a string")
-                if not 0.0 <= confidence <= 1.0:
-                    raise ValueError(f"confidence {confidence} outside [0, 1]")
-                interval = Interval(float(rec["start"]), float(rec["end"]))
-                entry = (interval, parse_chord_label(label), confidence, lineno)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            grouped.setdefault(tid, []).append(entry)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                    tid = str(rec["track"])
+                    label, confidence = rec["label"], float(rec["confidence"])
+                    if not isinstance(label, str):
+                        raise ValueError(f"label {label!r} is not a string")
+                    if not 0.0 <= confidence <= 1.0:
+                        raise ValueError(f"confidence {confidence} outside [0, 1]")
+                    interval = Interval(float(rec["start"]), float(rec["end"]))
+                    entry = (interval, parse_chord_label(label), confidence, lineno)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
+                grouped.setdefault(tid, []).append(entry)
+    except UnicodeDecodeError as exc:
+        # decoding runs ahead of the lines in buffered chunks, so no line can be named
+        raise ValueError(f"{path}: {exc}") from None
     out = []
     for tid, entries in grouped.items():
         entries.sort(key=lambda e: e[0].start)

@@ -117,6 +117,15 @@ class TestReadLab:
         assert read_lab_file(path) == s
         assert read_lab_file(path, track_id="other").track_id == "other"
 
+    def test_repeated_label_text_gives_the_same_label(self, tmp_path):
+        text = "0 1 A:min7/b3\n1 2 A:min7/b3\n"
+        first, second = (label for _, label in read_lab(text, "t").segments)
+        assert first is second
+        for name in ("a.lab", "b.lab"):
+            (tmp_path / name).write_text(text, "utf-8")
+        a, b = (read_lab_file(tmp_path / name) for name in ("a.lab", "b.lab"))
+        assert a.segments[0][1] is b.segments[1][1]
+
     @pytest.mark.parametrize("content,where", [(b"0 1 C:maj\n1 x D:min\n", "line 2: "),
                                                (b"0 1 C:maj\n1 2 \xff\n", "'utf-8' codec")],
                              ids=["bad-line", "not-utf8"])

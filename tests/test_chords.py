@@ -1,8 +1,11 @@
 """Chord label parsing, serialization, transposition and class mapping."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
+from chordbalance import chords
 from chordbalance.chords import (
     CHORD_CLASSES,
     NO_CHORD,
@@ -68,6 +71,36 @@ def test_parse_errors(bad):
 def test_parse_error_names_offending_span():
     with pytest.raises(ChordParseError, match="wat"):
         parse_chord_label("C:wat")
+
+
+def test_equal_strings_give_the_same_label():
+    assert parse_chord_label("G#:min7/b3") is parse_chord_label("".join(["G#:", "min7/b3"]))
+
+
+def test_errors_are_not_cached():
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ChordParseError) as info:
+            parse_chord_label("C:wat")
+        messages.append(str(info.value))
+    assert messages == ["unknown quality 'wat' in 'C:wat'"] * 2
+
+
+def test_cache_bound_is_the_module_constant():
+    assert parse_chord_label.cache_parameters()["maxsize"] == chords._PARSE_CACHE_SIZE
+
+
+def test_more_distinct_labels_than_the_cache_holds():
+    # every accidental string of up to 11 marks on every letter: 7 * 4095 labels
+    texts = [
+        (f"{letter}{''.join(marks)}:min7", letter, marks)
+        for n in range(12) for marks in product("#b", repeat=n) for letter in "ABCDEFG"
+    ]
+    assert len(texts) > chords._PARSE_CACHE_SIZE
+    for _ in range(2):  # the second pass parses labels the first pass evicted
+        for text, letter, marks in texts:
+            root = (pitch_class(letter) + marks.count("#") - marks.count("b")) % 12
+            assert parse_chord_label(text) == ChordLabel("chord", root, "min7")
 
 
 def test_map_identity_and_sentinels():

@@ -259,6 +259,15 @@ class TestSelect:
         assert code == cli.EXIT_DATA
         assert f"{jsonl}, lines 1 and 2: overlapping segments of track {first['track']!r}" in err
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["pseudolabels", "config"])
+    def test_non_utf8_input_names_file(self, capsys, tmp_path, select_inputs, which):
+        path = select_inputs[which]
+        path.write_bytes(b"\xff\n" + path.read_bytes())
+        code, _, err = run_cli(capsys, "select", "--pseudolabels", str(select_inputs[0]),
+                               "--config", str(select_inputs[1]))
+        assert code == cli.EXIT_DATA
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
     @pytest.mark.parametrize(
         "edit,message",
         [

@@ -344,6 +344,14 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="line 1"):
             read_pseudolabels_jsonl(path)
 
+    def test_pseudolabels_jsonl_repeated_label_gives_the_same_label(self, tmp_path):
+        path = tmp_path / "pseudo.jsonl"
+        records = [{"track": "t", "start": 0.0, "end": 1.0, "label": "E:hdim7", "confidence": 0.5},
+                   {"track": "u", "start": 1.0, "end": 2.0, "label": "E:hdim7", "confidence": 0.7}]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records), "utf-8")
+        first, second = (ps.sequence.segments[0][1] for ps in read_pseudolabels_jsonl(path))
+        assert first is second
+
     def test_excerpts_json(self, tmp_path):
         dataset = ExcerptDataset({"a": (Interval(0.0, 8.0), Interval(10.0, 18.0))})
         path = tmp_path / "excerpts.json"
