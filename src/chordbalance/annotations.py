@@ -108,7 +108,9 @@ def read_lab(text: str, track_id: str) -> TimedLabelSequence:
     times, end <= start, overlapping segments, unparseable labels) raise
     :class:`LabFormatError` naming the 1-based line number.
     """
-    entries: list[tuple[int, Interval, ChordLabel]] = []
+    # (start, end, line, interval, label): line numbers are unique, so plain
+    # tuple order sorts by time with file order breaking ties
+    entries: list[tuple[float, float, int, Interval, ChordLabel]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -128,15 +130,15 @@ def read_lab(text: str, track_id: str) -> TimedLabelSequence:
             label = parse_chord_label(fields[2])
         except ChordParseError as exc:
             raise LabFormatError(f"line {lineno}: {exc}") from None
-        entries.append((lineno, interval, label))
+        entries.append((start, end, lineno, interval, label))
 
-    entries.sort(key=lambda e: (e[1].start, e[1].end))
-    for (_, a, _), (lineno, b, _) in zip(entries, entries[1:]):
+    entries.sort()
+    for (_, _, _, a, _), (_, _, lineno, b, _) in zip(entries, entries[1:]):
         if b.start < a.end:
             raise LabFormatError(
                 f"line {lineno}: segment [{b.start:g}, {b.end:g}) overlaps [{a.start:g}, {a.end:g})"
             )
-    return TimedLabelSequence(track_id, tuple((iv, lab) for _, iv, lab in entries))
+    return TimedLabelSequence(track_id, tuple((iv, lab) for _, _, _, iv, lab in entries))
 
 
 def write_lab(sequence: TimedLabelSequence) -> str:

@@ -141,12 +141,6 @@ def spec_from_dict(raw: Mapping) -> CorpusSpec:
     return load_config(CorpusSpec, raw, "corpus spec")
 
 
-def _label_for(chord_class: str, root: int) -> ChordLabel:
-    if chord_class == "N":
-        return NO_CHORD
-    return ChordLabel("chord", root, REPRESENTATIVE_QUALITY[chord_class])
-
-
 def generate_corpus(spec: CorpusSpec) -> list[tuple[FeatureTrack, TimedLabelSequence]]:
     """Generate the corpus described by ``spec``.
 
@@ -159,7 +153,17 @@ def generate_corpus(spec: CorpusSpec) -> list[tuple[FeatureTrack, TimedLabelSequ
     classes = sorted(spec.class_distribution)
     shares = np.asarray([spec.class_distribution[c] for c in classes])
     shares = shares / shares.sum()
-    fps = spec.frame_rate
+    # The CDF that Generator.choice(len(classes), p=shares) draws one
+    # class from, so that one uniform draw picks the same class.
+    cdf = shares.cumsum()
+    cdf /= cdf[-1]
+    # template and label of each of the 109 (class, root) pairs a segment can take
+    rendered = {
+        (cls, root): (chord_template(cls, root), ChordLabel("chord", root, REPRESENTATIVE_QUALITY[cls]))
+        for cls in CHORD_CLASS_INTERVALS for root in range(N_CHROMA)
+    }
+    rendered["N", 0] = (no_chord_template(), NO_CHORD)
+    fps, sigma = spec.frame_rate, spec.noise_sigma
     corpus = []
     for i in range(spec.n_tracks):
         tid = f"{spec.track_prefix}-{i:04d}"
@@ -169,16 +173,16 @@ def generate_corpus(spec: CorpusSpec) -> list[tuple[FeatureTrack, TimedLabelSequ
         segments = []
         pos = 0
         while pos < n_frames:
-            cls = classes[int(rng.choice(len(classes), p=shares))]
+            cls = classes[cdf.searchsorted(rng.random(), side="right")]
             dur = max(1, round(rng.uniform(*spec.chord_duration_range) * fps))
             end = min(pos + dur, n_frames)
             root = int(rng.integers(N_CHROMA)) if cls != "N" else 0
-            template = no_chord_template() if cls == "N" else chord_template(cls, root)
-            block = np.tile(template, (end - pos, 1))
-            if spec.noise_sigma > 0:
-                block = block + rng.normal(0.0, spec.noise_sigma, block.shape)
-            frames[pos:end] = block
-            segments.append((Interval(pos / fps, end / fps), _label_for(cls, root)))
+            template, label = rendered[cls, root]
+            if sigma > 0:
+                np.add(template, rng.normal(0.0, sigma, (end - pos, N_CHROMA)), out=frames[pos:end])
+            else:
+                frames[pos:end] = template
+            segments.append((Interval(pos / fps, end / fps), label))
             pos = end
         corpus.append((
             FeatureTrack(tid, frames, fps),
@@ -187,13 +191,33 @@ def generate_corpus(spec: CorpusSpec) -> list[tuple[FeatureTrack, TimedLabelSequ
     return corpus
 
 
+def _check_track_ids(track_ids: Sequence, source: str | Path) -> None:
+    """Raise ``ValueError`` unless every track id is a plain, unique file name."""
+    for tid in track_ids:
+        if not isinstance(tid, str) or tid in ("", ".", "..") or "/" in tid or "\\" in tid:
+            raise ValueError(f"track id {tid!r} in {source} is not a plain file name")
+    repeated = sorted(tid for tid, count in Counter(track_ids).items() if count > 1)
+    if repeated:
+        raise ValueError(f"repeated track ids in {source}: {repeated}")
+
+
 def save_corpus(
     directory: str | Path,
     corpus: Sequence[tuple[FeatureTrack, TimedLabelSequence]],
     spec: CorpusSpec | None = None,
 ) -> None:
-    """Persist a corpus: manifest.json, per-track features CSV and .lab."""
+    """Persist a corpus: manifest.json, per-track features CSV and .lab.
+
+    The manifest holds one frame rate and track ids name files inside
+    ``directory``, so a corpus with mixed frame rates, or a track id that
+    is not a plain, unique file name, raises ``ValueError`` before
+    anything is written.
+    """
     directory = Path(directory)
+    _check_track_ids([track.track_id for track, _ in corpus], f"the corpus for {directory}")
+    rates = sorted({track.frame_rate for track, _ in corpus})
+    if len(rates) > 1:
+        raise ValueError(f"the corpus for {directory} mixes frame rates {rates}")
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -204,8 +228,11 @@ def save_corpus(
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8"
     )
+    # the bytes of np.savetxt(fmt="%.9f", delimiter=","), one format call per track
+    row = ",".join(["%.9f"] * N_CHROMA) + "\n"
     for track, labels in corpus:
-        np.savetxt(directory / f"{track.track_id}.csv", track.frames, fmt="%.9f", delimiter=",")
+        text = row * len(track) % tuple(track.frames.ravel().tolist())
+        (directory / f"{track.track_id}.csv").write_text(text, "ascii", newline="\n")
         write_lab_file(directory / f"{track.track_id}.lab", labels)
 
 
@@ -213,7 +240,7 @@ def load_corpus(directory: str | Path) -> tuple[list[tuple[FeatureTrack, TimedLa
     """Load a corpus directory written by :func:`save_corpus`.
 
     Track ids name files inside ``directory``, so each must be a plain,
-    unique file name.
+    unique file name, as :func:`save_corpus` requires.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -229,12 +256,7 @@ def load_corpus(directory: str | Path) -> tuple[list[tuple[FeatureTrack, TimedLa
         raise ValueError(f"{manifest_path} has no 'tracks' list")
     if tracks and not (type(fps) in (int, float) and 0 < fps < math.inf):
         raise ValueError(f"{manifest_path} has frame_rate {fps!r}, not a finite positive number")
-    for tid in tracks:
-        if not isinstance(tid, str) or tid in ("", ".", "..") or "/" in tid or "\\" in tid:
-            raise ValueError(f"track id {tid!r} in {manifest_path} is not a plain file name")
-    repeated = sorted(tid for tid, count in Counter(tracks).items() if count > 1)
-    if repeated:
-        raise ValueError(f"repeated track ids in {manifest_path}: {repeated}")
+    _check_track_ids(tracks, manifest_path)
     corpus = []
     for tid in tracks:
         csv_path = directory / f"{tid}.csv"

@@ -10,10 +10,13 @@ slicing whole segments and finds each target by its label's name in
 ``MODEL_CLASSES``; the class-weight oracle parses every output's name;
 and the trainer oracle takes each pass over the
 whole batch at once in fresh arrays, on one thread, and sums the weight
-step's block products ``grad[a:b].T @ x[a:b]`` in a plain loop.
-Label-to-class reduction and the batch objective are shared with the
-library on purpose; the duration arithmetic, the frame assignment and
-the training loop are what gets verified here.
+step's block products ``grad[a:b].T @ x[a:b]`` in a plain loop.  The
+corpus oracle draws each chord's class with ``Generator.choice`` and
+renders each segment as a fresh tiled template plus a noise block.
+Label-to-class reduction, the batch objective, the templates and the
+per-track seed are shared with the library on purpose; the duration
+arithmetic, the frame assignment, the training loop and the order of
+the corpus draws are what gets verified here.
 """
 
 from __future__ import annotations
@@ -21,8 +24,17 @@ from __future__ import annotations
 import numpy as np
 
 from chordbalance import focal
-from chordbalance.chords import PITCH_NAMES, REPRESENTATIVE_QUALITY, map_to_class, parse_chord_label
-from chordbalance.student import _BLOCK_ROWS, MODEL_CLASSES, N_CHROMA, init_model
+from chordbalance.annotations import Interval, TimedLabelSequence
+from chordbalance.augment import derive_seed
+from chordbalance.chords import (
+    NO_CHORD,
+    PITCH_NAMES,
+    REPRESENTATIVE_QUALITY,
+    ChordLabel,
+    map_to_class,
+    parse_chord_label,
+)
+from chordbalance.student import _BLOCK_ROWS, MODEL_CLASSES, N_CHROMA, FeatureTrack, init_model
 from chordbalance.synth import CHORD_CLASS_INTERVALS, chord_template, no_chord_template
 
 STEP = 0.01
@@ -120,6 +132,37 @@ def nearest_template(frame):
                 best_dist = dist
                 best = (cls, root)
     return best
+
+
+def generate_corpus(spec):
+    """The corpus of ``spec``, one ``rng.choice`` and one tiled block per segment."""
+    classes = sorted(spec.class_distribution)
+    shares = np.asarray([spec.class_distribution[c] for c in classes])
+    shares = shares / shares.sum()
+    fps = spec.frame_rate
+    corpus = []
+    for i in range(spec.n_tracks):
+        tid = f"{spec.track_prefix}-{i:04d}"
+        rng = np.random.default_rng(derive_seed(spec.seed, tid))
+        n_frames = max(1, round(rng.uniform(*spec.track_length_range) * fps))
+        frames = np.empty((n_frames, N_CHROMA))
+        segments = []
+        pos = 0
+        while pos < n_frames:
+            cls = classes[int(rng.choice(len(classes), p=shares))]
+            dur = max(1, round(rng.uniform(*spec.chord_duration_range) * fps))
+            end = min(pos + dur, n_frames)
+            root = int(rng.integers(N_CHROMA)) if cls != "N" else 0
+            template = no_chord_template() if cls == "N" else chord_template(cls, root)
+            block = np.tile(template, (end - pos, 1))
+            if spec.noise_sigma > 0:
+                block = block + rng.normal(0.0, spec.noise_sigma, block.shape)
+            frames[pos:end] = block
+            label = NO_CHORD if cls == "N" else ChordLabel("chord", root, REPRESENTATIVE_QUALITY[cls])
+            segments.append((Interval(pos / fps, end / fps), label))
+            pos = end
+        corpus.append((FeatureTrack(tid, frames, fps), TimedLabelSequence(tid, tuple(segments))))
+    return corpus
 
 
 def model_output(label):

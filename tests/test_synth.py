@@ -8,6 +8,7 @@ import pytest
 
 from chordbalance.chords import map_to_class
 from chordbalance.metrics import type_distribution
+from chordbalance.student import FeatureTrack
 from chordbalance.synth import (
     CHORD_CLASS_INTERVALS,
     CorpusSpec,
@@ -21,6 +22,7 @@ from chordbalance.synth import (
     spec_from_dict,
 )
 
+import oracles
 from oracles import nearest_template
 
 ALL_BUT_AUG = {
@@ -184,6 +186,32 @@ class TestGenerate:
                 expected = ("N", None) if not label.is_chord else (map_to_class(label), label.root)
                 assert nearest_template(track.frames[j]) == expected
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CorpusSpec(),
+            CorpusSpec(n_tracks=4, class_distribution=ALL_BUT_AUG, noise_sigma=0.0, seed=3),
+            CorpusSpec(n_tracks=3, class_distribution={"min7": 1.0}, seed=2),
+            # zero shares first, inside and last in sorted class order
+            CorpusSpec(n_tracks=4, seed=9,
+                       class_distribution={"7": 0.0, "N": 0.3, "maj": 0.5, "min": 0.0, "sus": 0.2}),
+            CorpusSpec(n_tracks=3, frame_rate=21.5, seed=4),
+            CorpusSpec(n_tracks=4, track_length_range=(30.0, 60.0), chord_duration_range=(0.5, 2.0),
+                       noise_sigma=0.2, seed=300),
+        ],
+        ids=["default", "sigma-0", "one-class", "zero-shares", "21.5-fps", "short-chords"],
+    )
+    def test_matches_per_segment_oracle(self, spec):
+        corpus = generate_corpus(spec)
+        expected = oracles.generate_corpus(spec)
+        assert len(corpus) == len(expected) == spec.n_tracks
+        for (track, labels), (want_track, want_labels) in zip(corpus, expected):
+            assert track.track_id == want_track.track_id
+            assert track.frame_rate == want_track.frame_rate
+            assert track.frames.shape == want_track.frames.shape
+            assert track.frames.tobytes() == want_track.frames.tobytes()
+            assert labels == want_labels
+
     def test_distribution_converges_on_long_corpus(self):
         # about two hours of generated audio at the published shares
         spec = CorpusSpec(n_tracks=96, noise_sigma=0.0, seed=17)
@@ -209,6 +237,40 @@ class TestPersistence:
             assert t1.frame_rate == t0.frame_rate
             np.testing.assert_allclose(t1.frames, t0.frames, atol=1e-9)  # CSV keeps 9 decimals
             assert l1 == l0
+
+    def test_csv_bytes_equal_savetxt(self, tmp_path):
+        spec = CorpusSpec(n_tracks=2, track_length_range=(5.0, 8.0), noise_sigma=0.5, seed=4)
+        corpus = generate_corpus(spec)
+        # signed zeros, values that round to zero either side, and rounding at the 9th decimal
+        edge = np.tile([-0.0, 0.0, 4e-10, -4e-10, 5e-10, 1.0000000005, -2.5e-9, 123456.789,
+                        -1e-9, 0.1, 1 / 3, 2.0], (3, 1))
+        corpus.append((FeatureTrack("edge", edge), corpus[0][1]))
+        corpus.append((FeatureTrack("one-frame", edge[:1]), corpus[0][1]))
+        save_corpus(tmp_path / "corpus", corpus, spec)
+        for track, _ in corpus:
+            np.savetxt(tmp_path / "want.csv", track.frames, fmt="%.9f", delimiter=",")
+            written = (tmp_path / "corpus" / f"{track.track_id}.csv").read_bytes()
+            assert written == (tmp_path / "want.csv").read_bytes()
+            assert written.count(b"\n") == len(track) and b"\r" not in written
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda c: [c[0], (FeatureTrack("../x", c[1][0].frames), c[1][1])],
+             "track id '../x' in the corpus for .* is not a plain file name"),
+            (lambda c: [c[0], (FeatureTrack("rt-0000", c[1][0].frames), c[1][1])],
+             r"repeated track ids in the corpus for .*: \['rt-0000'\]"),
+            (lambda c: [c[0], (FeatureTrack("rt-0001", c[1][0].frames, 20.0), c[1][1])],
+             r"the corpus for .* mixes frame rates \[10.0, 20.0\]"),
+        ],
+        ids=["parent-dir", "repeated", "mixed-rates"],
+    )
+    def test_save_rejects_corpus_load_would_reject(self, tmp_path, edit, message):
+        spec = CorpusSpec(n_tracks=2, track_length_range=(12.0, 15.0), seed=3, track_prefix="rt")
+        target = tmp_path / "out" / "corpus"
+        with pytest.raises(ValueError, match=message):
+            save_corpus(target, edit(generate_corpus(spec)), spec)
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_rejects_non_corpus(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):
