@@ -13,7 +13,8 @@ predictions and saved models.  Every pass lays its logits out
 class-major, as (classes, frames), so each softmax max and sum runs
 over the classes as whole vectors of frames.  A training pass cuts the
 frames into blocks, and one worker thread runs all of a block's work,
-from its logits to its share of the weight gradient.
+from its logits to its share of the weight gradient, in one of the
+pass's block buffers, one per worker.
 
 The model's outputs are one fixed table, ``MODEL_CLASSES``: every
 scoreable chord class at every root, rendered as a chord label ("C:maj"
@@ -27,13 +28,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Sequence
 
 import numpy as np
-from scipy.ndimage import median_filter
+# NumPy loads np.random, a dozen extension modules, on first use; load it
+# with the package so that the first draw of a run does not pay for it.
+import numpy.random
 
 from . import focal
 from ._config import JsonConfig, load_config, read_json
@@ -209,32 +213,38 @@ def _workers(blocks: int) -> int:
     return max(1, min(cpus, blocks))
 
 
-def _run_block(w, xT, y, weights, gamma, z, out, grad):
+def _run_block(w, xT, y, weights, gamma, free, out, grad):
     """Clamp count of one block and, with ``grad``, its share of the weight gradient.
 
-    ``z`` is the block's own (classes, frames) buffer; the focal
-    objective reads its (frames, classes) view.
+    The block borrows a buffer from the queue ``free`` for its
+    (classes, frames) logits and returns it when done; the focal
+    objective reads the logits' (frames, classes) view.
     """
-    clamps = focal.frame_losses(_class_softmax(np.matmul(w, xT, out=z)).T, y, gamma, weights, out, grad)
-    return clamps, z @ xT.T if grad else None
+    buf = free.get()
+    try:
+        z = buf[:len(MODEL_CLASSES) * xT.shape[1]].reshape(len(MODEL_CLASSES), xT.shape[1])
+        clamps = focal.frame_losses(_class_softmax(np.matmul(w, xT, out=z)).T, y, gamma, weights, out, grad)
+        return clamps, z @ xT.T if grad else None
+    finally:
+        free.put(buf)
 
 
-def _blocked_pass(pool, w, xT, y, weights, gamma, buf, losses, grad) -> tuple[float, int, np.ndarray | None]:
+def _blocked_pass(pool, w, xT, y, weights, gamma, free, losses, grad) -> tuple[float, int, np.ndarray | None]:
     """Mean focal loss of the frames of ``xT``, its clamp count and, with ``grad``, the weight gradient.
 
     The pass runs in the dtype of ``xT`` (features, frames), to which
     ``w`` is cast once.  Each block of frames runs wholly on a worker of
-    ``pool``, in its own row of ``buf``.  The blocks' gradient shares are
-    added in float64 in block order, so no byte depends on the worker count.
+    ``pool``, in a buffer it borrows from ``free``, which holds one per
+    worker.  The blocks' gradient shares are added in float64 in block
+    order, so no byte depends on the worker count.
     """
     w = w.astype(xT.dtype)
     n = xT.shape[1]
     jobs = []
-    for k, a in enumerate(range(0, n, _BLOCK_ROWS)):
+    for a in range(0, n, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, n)
-        z = buf[k, :len(MODEL_CLASSES) * (b - a)].reshape(len(MODEL_CLASSES), b - a)
         jobs.append(pool.submit(_run_block, w, xT[:, a:b], y[a:b], None if weights is None else weights[a:b],
-                                gamma, z, losses[a:b], grad))
+                                gamma, free, losses[a:b], grad))
     clamps, shares = zip(*(job.result() for job in jobs))
     step = sum(shares, np.zeros(w.shape)) if grad else None
     return float(losses[:n].mean(dtype=np.float64)), sum(clamps), step
@@ -305,11 +315,13 @@ def train(
         vxT, vy, vframe_w = design(validation)
 
     gamma = params.gamma if params.loss == "focal" else 0.0
-    # Every pass shares one class-major buffer, a full block per row, and
-    # one loss vector.
+    # Every pass shares one loss vector and one class-major block buffer
+    # per worker: only the blocks the workers are running need one.
     rows = max(n, len(vy)) if use_val else n
-    blocks = -(-rows // _BLOCK_ROWS)
-    buf = np.empty((blocks, len(MODEL_CLASSES) * _BLOCK_ROWS), _PASS_DTYPE)
+    workers = _workers(-(-rows // _BLOCK_ROWS))
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(np.empty(len(MODEL_CLASSES) * min(rows, _BLOCK_ROWS), _PASS_DTYPE))
     losses = np.empty(rows, _PASS_DTYPE)
 
     w = init_model(params).weights
@@ -322,10 +334,10 @@ def train(
     epochs_run = 0
     clamps = 0
 
-    with ThreadPoolExecutor(_workers(blocks)) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         def mean_loss(w, xT, y, frame_w, grad=False):
             nonlocal clamps
-            loss, count, step = _blocked_pass(pool, w, xT, y, frame_w, gamma, buf, losses, grad)
+            loss, count, step = _blocked_pass(pool, w, xT, y, frame_w, gamma, free, losses, grad)
             clamps += count
             return loss, step
 
@@ -356,6 +368,19 @@ def train(
     return TrainResult(ClassifierModel(w, params), final_loss, epochs_run, train_losses, val_losses, clamps)
 
 
+def _running_median(idx: np.ndarray, window: int) -> np.ndarray:
+    """Median of each ``window`` (odd) frames of ``idx`` centred on a frame.
+
+    Past either end of the track the end frame repeats, as in
+    ``scipy.ndimage.median_filter(idx, window, mode="nearest")``: the
+    gather clips the window's frame indices to the track.
+    """
+    h = window // 2
+    windows = idx.take(np.arange(len(idx))[:, None] + np.arange(-h, h + 1), mode="clip")
+    windows.sort(axis=1)
+    return windows[:, h]
+
+
 def predict_segments(
     model: ClassifierModel,
     track: FeatureTrack,
@@ -363,11 +388,11 @@ def predict_segments(
 ) -> PredictedSegments:
     """Segment-level predictions for one track.
 
-    Per-frame argmax labels, median-filtered over ``smoothing_window``
-    frames (odd, >= 1; 1 means no smoothing), then constant runs become
-    segments.  Segment confidence is the mean posterior of the emitted
-    label over the segment's frames.  The segments exactly tile
-    [0, duration).
+    Per-frame argmax labels, smoothed by an edge-padded running median
+    over ``smoothing_window`` frames (odd, >= 1; 1 means no smoothing),
+    then constant runs become segments.  Segment confidence is the mean
+    posterior of the emitted label over the segment's frames.  The
+    segments exactly tile [0, duration).
     """
     if len(track) == 0:
         raise ValueError(f"empty track {track.track_id!r}")
@@ -376,7 +401,7 @@ def predict_segments(
     probs = model.posteriors(track.frames)
     idx = np.argmax(probs, axis=1)
     if smoothing_window > 1:
-        idx = median_filter(idx, size=smoothing_window, mode="nearest")
+        idx = _running_median(idx, smoothing_window)
     emitted = probs[np.arange(len(idx)), idx]
 
     bounds = [0, *(int(b) for b in np.flatnonzero(np.diff(idx)) + 1), len(idx)]

@@ -31,6 +31,28 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
+def test_import_leaves_scipy_unloaded():
+    """The package and its console script run on numpy alone."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, chordbalance, chordbalance.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    assert child.stdout == "[]\n"
+
+
+def test_import_loads_numpy_random():
+    """NumPy loads np.random lazily; the package loads it up front, so
+    that a run's first draw does not import a dozen extension modules."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, chordbalance; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    assert child.stdout == "True\n"
+
+
 class TestUsage:
     def test_no_arguments(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +325,54 @@ def test_weights_do_not_depend_on_worker_count():
     assert child.stdout == weights.tobytes().hex()
 
 
+def test_borrowed_buffers_under_contention(monkeypatch):
+    """A worker per block (9 blocks), switching threads every microsecond: the bytes stay the same."""
+    corpus = noisy_corpus(n_tracks=50, seed=11)
+    params = TrainParams(learning_rate=2.0, epochs=3, seed=5, loss="focal")
+    expected = train(corpus, params).model.weights
+    monkeypatch.setattr(student, "_workers", lambda blocks: blocks)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: results.append(train(corpus, params)), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    np.testing.assert_array_equal(results[0].model.weights, expected)
+
+
+def _traced_peak_of_one_epoch(corpus):
+    """Peak bytes traced while training one epoch; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        train(corpus, TrainParams(epochs=1, seed=0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_scratch_grows_by_workers_not_blocks():
+    """Peak memory rises with the frames only by the per-frame design arrays.
+
+    Those need about 70 B per frame; a block buffer for every block of
+    the corpus would add another 436 B.  Each extra worker adds one
+    buffer, whatever the corpus size.
+    """
+    small = noisy_corpus(n_tracks=25, seed=11)
+    large = noisy_corpus(n_tracks=100, seed=11)
+    frames = [sum(len(track) for track, _ in corpus) for corpus in (small, large)]
+    blocks = [-(-n // student._BLOCK_ROWS) for n in frames]
+    assert blocks[0] >= 4 and blocks[1] >= 16
+    _traced_peak_of_one_epoch(small)  # first-call allocations stay out of the comparison
+    rise = _traced_peak_of_one_epoch(large) - _traced_peak_of_one_epoch(small)
+    extra_workers = student._workers(blocks[1]) - student._workers(blocks[0])
+    buffer_bytes = len(MODEL_CLASSES) * student._BLOCK_ROWS * np.dtype(np.float32).itemsize
+    assert rise - extra_workers * buffer_bytes < 200 * (frames[1] - frames[0])
+
+
 class TestEarlyStopping:
     def test_requires_both_validation_and_patience(self):
         corpus = noisy_corpus(n_tracks=3)
@@ -447,6 +497,18 @@ class TestPredictSegments:
             (a / 10.0, b / 10.0, MODEL_CLASSES[idx[a]]) for a, b in spans]
         expected = [probs[a:b, idx[a]].mean() for a, b in spans]
         np.testing.assert_allclose(pred.confidences, expected, rtol=0, atol=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 500), half=st.integers(0, 50), top=st.sampled_from([1, 3, 108]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_running_median_matches_scipy(self, n, half, top, seed):
+        """The smoothing against scipy's edge-repeating median filter, windows longer than the track too."""
+        idx = np.random.default_rng(seed).integers(0, top + 1, n).astype(np.intp)
+        window = 2 * half + 1
+        smoothed = student._running_median(idx, window)
+        expected = median_filter(idx, size=window, mode="nearest")
+        assert smoothed.dtype == expected.dtype
+        np.testing.assert_array_equal(smoothed, expected)
 
     def test_input_validation(self):
         model = self.arrow_model()
