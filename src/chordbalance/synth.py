@@ -16,6 +16,7 @@ class only 0.2 percent, and the remainder is no-chord.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -201,12 +202,59 @@ def _check_track_ids(track_ids: Sequence, source: str | Path) -> None:
         raise ValueError(f"repeated track ids in {source}: {repeated}")
 
 
+# A CSV field as a packed 13-byte record: "-" or a 0 byte (dropped from the
+# text), then three little-endian words: "d.dd", four more decimals, and the
+# last three with "," or, from the second half of the tails, "\n".
+_FIELD = np.dtype([("sign", "u1"), ("head", "<u4"), ("middle", "<u4"), ("tail", "<u4")])
+
+
+@functools.cache
+def _text_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only heads, quads and tails of ``_FIELD``, built on first use, not at import."""
+    heads = b"".join(b"%d.%02d" % divmod(i, 100) for i in range(1000))
+    quads = b"".join(b"%04d" % i for i in range(10_000))
+    tails = b"".join(b"%03d" % i + sep for sep in (b",", b"\n") for i in range(1000))
+    return tuple(np.frombuffer(text, "<u4") for text in (heads, quads, tails))
+
+
+# Below 1e10, |x| * 1e9 is within 1.2e-6 of its exact value, so rint rounds
+# it as %.9f does unless it lies that close to a half.
+_HALF_TOL = 1.2e-6
+
+
+def _csv_bytes(frames: np.ndarray) -> bytes:
+    """The bytes ``np.savetxt(fmt="%.9f", delimiter=",")`` writes for ``frames``."""
+    magnitude = np.abs(frames)
+    if not magnitude.max(initial=0.0) < 9.999999999:
+        # only here can a value print with more than one whole digit
+        row = ",".join(["%.9f"] * frames.shape[1]) + "\n"
+        return (row * len(frames) % tuple(frames.ravel().tolist())).encode("ascii")
+    scaled = magnitude * 1e9
+    units = np.rint(scaled)
+    for i in np.flatnonzero(np.abs(scaled - units) >= 0.5 - _HALF_TOL):
+        units.flat[i] = int(("%.9f" % magnitude.flat[i]).replace(".", ""))
+    high = np.floor(units / 1e7)  # exact, units being whole numbers below 1e10
+    middle, tail = np.divmod((units - high * 1e7).astype(np.int32), 1000)
+    tail[:, -1] += 1000
+    heads, quads, tails = _text_words()
+    fields = np.empty(frames.shape, _FIELD)
+    fields["sign"] = np.where(np.signbit(frames), ord("-"), 0)
+    fields["head"] = heads[high.astype(np.intp)]
+    fields["middle"] = quads[middle]
+    fields["tail"] = tails[tail]
+    return fields.tobytes().translate(None, b"\0")
+
+
 def save_corpus(
     directory: str | Path,
     corpus: Sequence[tuple[FeatureTrack, TimedLabelSequence]],
     spec: CorpusSpec | None = None,
 ) -> None:
     """Persist a corpus: manifest.json, per-track features CSV and .lab.
+
+    Each CSV holds the bytes of ``np.savetxt(fmt="%.9f", delimiter=",")``,
+    built with array ops; a track with a value of 10 or more in magnitude
+    is formatted with ``%`` instead.
 
     The manifest holds one frame rate and track ids name files inside
     ``directory``, so a corpus with mixed frame rates, or a track id that
@@ -228,11 +276,8 @@ def save_corpus(
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8"
     )
-    # the bytes of np.savetxt(fmt="%.9f", delimiter=","), one format call per track
-    row = ",".join(["%.9f"] * N_CHROMA) + "\n"
     for track, labels in corpus:
-        text = row * len(track) % tuple(track.frames.ravel().tolist())
-        (directory / f"{track.track_id}.csv").write_text(text, "ascii", newline="\n")
+        (directory / f"{track.track_id}.csv").write_bytes(_csv_bytes(track.frames))
         write_lab_file(directory / f"{track.track_id}.lab", labels)
 
 

@@ -12,7 +12,8 @@ and the trainer oracle takes each pass over the
 whole batch at once in fresh arrays, on one thread, and sums the weight
 step's block products ``grad[a:b].T @ x[a:b]`` in a plain loop.  The
 corpus oracle draws each chord's class with ``Generator.choice`` and
-renders each segment as a fresh tiled template plus a noise block.
+renders each segment as a fresh tiled template plus a noise block, and
+the corpus CSV oracle formats every value of a track with one ``%`` call.
 Label-to-class reduction, the batch objective, the templates and the
 per-track seed are shared with the library on purpose; the duration
 arithmetic, the frame assignment, the training loop and the order of
@@ -163,6 +164,12 @@ def generate_corpus(spec):
             pos = end
         corpus.append((FeatureTrack(tid, frames, fps), TimedLabelSequence(tid, tuple(segments))))
     return corpus
+
+
+def csv_bytes(frames):
+    """The bytes of ``np.savetxt(frames, fmt="%.9f", delimiter=",")``."""
+    row = ",".join(["%.9f"] * frames.shape[1]) + "\n"
+    return (row * len(frames) % tuple(frames.ravel().tolist())).encode("ascii")
 
 
 def model_output(label):

@@ -27,7 +27,7 @@ from chordbalance.student import PredictedSegments
 from chordbalance.synth import CorpusSpec, generate_corpus, save_corpus
 
 from helpers import grid_sequence, pseudo_pool, random_label, random_pair
-from oracles import fd_gradient, sampled_corpus_scores, sampled_csr
+from oracles import csv_bytes, fd_gradient, sampled_corpus_scores, sampled_csr
 
 # published per-type recall row for a supervised reference system; its
 # unweighted mean is the expected class-quality average
@@ -279,6 +279,19 @@ def test_self_training_lifts_rare_class_accuracy(capsys, tmp_path):
     assert best.acqa > baseline.acqa
     assert improved
     assert elapsed < 300.0
+
+
+def test_frozen_corpus_csvs_match_percent_format(capsys, tmp_path):
+    tracks = 0
+    for spec in (LABELED_SPEC, POOL_SPEC, TEST_SPEC):
+        corpus = generate_corpus(spec)
+        save_corpus(tmp_path / spec.track_prefix, corpus, spec)
+        for track, _ in corpus:
+            written = (tmp_path / spec.track_prefix / f"{track.track_id}.csv").read_bytes()
+            assert written == csv_bytes(track.frames), track.track_id
+            tracks += 1
+    announce(capsys, "corpus-csv", True,
+             f"({tracks} tracks of the frozen corpora equal their %.9f formatting)")
 
 
 def test_experiment_reruns_are_byte_identical(capsys, tmp_path):

@@ -5,11 +5,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordbalance.chords import map_to_class
 from chordbalance.metrics import type_distribution
 from chordbalance.student import FeatureTrack
 from chordbalance.synth import (
+    _csv_bytes,
     CHORD_CLASS_INTERVALS,
     CorpusSpec,
     DEFAULT_CLASS_DISTRIBUTION,
@@ -252,6 +255,35 @@ class TestPersistence:
             written = (tmp_path / "corpus" / f"{track.track_id}.csv").read_bytes()
             assert written == (tmp_path / "want.csv").read_bytes()
             assert written.count(b"\n") == len(track) and b"\r" not in written
+
+    # magnitudes that print as one whole digit, with the edges of rounding
+    # at the ninth decimal; the signs come from a separate draw
+    _ONE_DIGIT = st.one_of(
+        st.floats(0.0, 10.0),
+        st.integers(0, 10**10).map(lambda k: (k + 0.5) / 1e9),  # halves, as near as binary gets
+        st.sampled_from([0.0, 1e-12, 5e-10, 1 / 1024, 0.99999999949, 0.9999999995,
+                         0.99999999951, 9.999999998, 9.9999999985, 9.999999999]),
+        st.floats(0.0, 2.3e-308),  # subnormals
+    )
+    # magnitudes that print as 10.000000000 or with more whole digits
+    _MANY_DIGITS = st.one_of(
+        st.sampled_from([9.9999999994, 9.9999999995, 9.9999999996, 10.0, 1e300]),
+        st.floats(0.0, allow_infinity=False),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_csv_bytes_match_percent_format(self, data):
+        magnitudes = self._ONE_DIGIT
+        if data.draw(st.booleans()):
+            # one value of 10 or more anywhere formats the whole track by %
+            magnitudes = st.one_of(magnitudes, self._MANY_DIGITS)
+        signed = st.builds(lambda v, negative: -v if negative else v, magnitudes, st.booleans())
+        values = np.array(data.draw(st.lists(signed, min_size=1, max_size=30)))
+        # 1-50 rows of those values, drawn cheaply in place of 12-600 hypothesis draws
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        frames = values[rng.integers(len(values), size=(data.draw(st.integers(1, 50)), 12))]
+        assert _csv_bytes(frames) == oracles.csv_bytes(frames)
 
     @pytest.mark.parametrize(
         "edit,message",
