@@ -38,7 +38,7 @@ class LabFormatError(ValueError):
     """Malformed .lab content; the message names the 1-based line, after the file from read_lab_file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Half-open time span [start, end) in seconds, end > start >= 0."""
 

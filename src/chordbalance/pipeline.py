@@ -7,6 +7,12 @@ the excerpts (pitch shift plus optional feature noise), and train a
 fresh student on labeled-plus-selected data.  Every iteration including
 the baseline is evaluated on the held-out test corpus.
 
+The pool's pseudolabels stay frames: per track, the teacher's output
+runs and each frame's posterior of its output.  Segments are built only
+where they are read: the rare-class runs that selection takes seeds
+from, and the runs inside each selected excerpt.  A round's pool state
+ends before its student trains.
+
 The labeled corpus is split into train/validation exactly once per run
 (validation drives early stopping) and the split is recorded in the run
 manifest.  Given the same config and seed, a run is fully deterministic:
@@ -20,7 +26,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,7 +134,11 @@ class IterationReport:
 
 
 def _load_corpora(config: ExperimentConfig):
-    """The three corpora, checked against each other and for what training and scoring need."""
+    """The labeled and test corpora and the pool's tracks by id, checked against each other
+    and for what training and scoring need.
+
+    The pool's ``.lab`` labels are read with it but not kept: the pool is unlabeled.
+    """
     labeled = load_corpus(config.labeled_dir)[0]
     unlabeled = load_corpus(config.unlabeled_dir)[0]
     test = load_corpus(config.test_dir)[0]
@@ -145,27 +155,64 @@ def _load_corpora(config: ExperimentConfig):
              for name, corpus in (("labeled", labeled), ("unlabeled", unlabeled), ("test", test)) if corpus}
     if len(set(rates.values())) > 1:
         raise ValueError(f"corpora differ in frame rate: {rates}")
-    return labeled, unlabeled, test
+    return labeled, {track.track_id: track for track, _ in unlabeled}, test
+
+
+class _Runs(NamedTuple):
+    """One pool track's pseudolabels as frames: the teacher's output runs."""
+
+    edges: np.ndarray    # run i spans frames edges[i]:edges[i + 1]
+    outputs: np.ndarray  # model output of each run
+    emitted: np.ndarray  # per frame, the posterior of its run's output
+
+
+def _select_from_pool(
+    model: student.ClassifierModel,
+    pool: Mapping[str, FeatureTrack],
+    window: int,
+    selection: SelectionConfig,
+) -> tuple[dict[str, _Runs], ExcerptDataset, SelectionReport]:
+    """Pseudolabel every pool track as frames, then select excerpts from its rare-class runs.
+
+    Selection reads pool time and takes seeds only for the rare classes,
+    so each track hands it only its rare-class runs, in order, as
+    segments; the selection is the one that all of its segments give.
+    """
+    rare = np.array([map_to_class(label) in selection.rare_classes for label in student._OUTPUT_LABELS])
+    runs = {}
+    seeds = []
+    for tid, track in pool.items():
+        frame_outputs, emitted = student.decide_frames(model, track, window)
+        edges, outputs = student.frame_runs(frame_outputs)
+        runs[tid] = _Runs(edges, outputs, emitted)
+        seeds.append(student.run_segments(tid, track.frame_rate, edges, outputs, emitted,
+                                          np.flatnonzero(rare[outputs]).tolist()))
+    durations = {tid: track.duration for tid, track in pool.items()}
+    return runs, *select_balanced_subset(seeds, durations, selection)
 
 
 def _augmented_excerpts(
     k: int,
     augment: AugmentSpec,
     pool: Mapping[str, FeatureTrack],
-    pseudo: Mapping[str, student.PredictedSegments],
+    runs: Mapping[str, _Runs],
     dataset: ExcerptDataset,
 ) -> tuple[list[tuple[FeatureTrack, TimedLabelSequence]], list[student.PredictedSegments]]:
     """Cut each selected excerpt with its pseudolabels, then pitch-shift and noise it.
 
     An excerpt spans frames ``i0:i1`` of its pool track, is named
-    ``tid@i0-i1``, and its segment times start at 0.
+    ``tid@i0-i1``, and its segment times start at 0.  Each run that
+    overlaps the excerpt becomes a segment clipped to it, with the
+    confidence of the whole run.
     """
     corpus = []
     pseudolabels = []
     for tid, excerpts in dataset.intervals.items():
         track = pool[tid]
-        predicted = pseudo[tid]
+        edges, outputs, emitted = runs[tid]
         fps = track.frame_rate
+        starts = edges[:-1] / fps
+        ends = edges[1:] / fps
         for excerpt in excerpts:
             i0 = int(round(excerpt.start * fps))
             i1 = int(round(excerpt.end * fps))
@@ -174,12 +221,15 @@ def _augmented_excerpts(
             t1 = min(i1, len(track)) / fps
             segments = []
             confidences = []
-            for (iv, lab), conf in zip(predicted.sequence.segments, predicted.confidences):
-                lo = max(iv.start, t0)
-                hi = min(iv.end, t1)
+            first = int(np.searchsorted(ends, t0, side="right"))
+            last = int(np.searchsorted(starts, t1, side="left"))
+            for i in range(first, last):
+                a, b = int(edges[i]), int(edges[i + 1])
+                lo = max(a / fps, t0)
+                hi = min(b / fps, t1)
                 if hi > lo:
-                    segments.append((Interval(lo - t0, hi - t0), lab))
-                    confidences.append(conf)
+                    segments.append((Interval(lo - t0, hi - t0), student._OUTPUT_LABELS[outputs[i]]))
+                    confidences.append(student.run_confidence(emitted, a, b))
             key = f"iter{k}:{eid}"
             shift_rng = np.random.default_rng(derive_seed(augment.seed, f"shift:{key}"))
             aug_track, aug_labels = pitch_shift(FeatureTrack(eid, track.frames[i0:i1], fps),
@@ -193,6 +243,25 @@ def _augmented_excerpts(
     return corpus, pseudolabels
 
 
+def _pool_round(
+    k: int,
+    model: student.ClassifierModel,
+    pool: Mapping[str, FeatureTrack],
+    config: ExperimentConfig,
+    selection: SelectionConfig,
+    out: Path,
+) -> tuple[list[tuple[FeatureTrack, TimedLabelSequence]], SelectionReport]:
+    """Round ``k``'s augmented excerpts of the pool and its selection report.
+
+    Writes ``selection_<k>.jsonl``.  The round's frame pseudolabels and
+    selection end with this call, before the student trains.
+    """
+    runs, dataset, report = _select_from_pool(model, pool, config.smoothing_window, selection)
+    excerpts, pseudolabels = _augmented_excerpts(k, config.augment, pool, runs, dataset)
+    write_pseudolabels_jsonl(out / f"selection_{k}.jsonl", pseudolabels)
+    return excerpts, report
+
+
 def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[IterationReport]:
     """Execute one experiment and write its artifacts to ``output_dir``.
 
@@ -201,7 +270,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
     excerpts' pseudolabels, run_manifest.json with the config echo and
     the train/validation split, timings.csv.
     """
-    labeled, unlabeled, test = _load_corpora(config)
+    labeled, pool, test = _load_corpora(config)
     out = Path(output_dir)
     (out / "models").mkdir(parents=True, exist_ok=True)
 
@@ -213,9 +282,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
     val_split = [labeled[i] for i in order[n_train:]]
     selection = replace(config._selection,
                         labeled_total=sum(track.duration for track, _ in train_split))
-
-    pool = {track.track_id: track for track, _ in unlabeled}
-    pool_durations = {tid: track.duration for tid, track in pool.items()}
     window = config.smoothing_window
 
     reports: list[IterationReport] = []
@@ -225,11 +291,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
         selection_report = None
         corpus = list(train_split)
         if k > 0:
-            pseudo = {tid: predict_segments(model, track, window) for tid, track in pool.items()}
-            dataset, selection_report = select_balanced_subset(list(pseudo.values()), pool_durations,
-                                                               selection)
-            excerpts, excerpt_pseudo = _augmented_excerpts(k, config.augment, pool, pseudo, dataset)
-            write_pseudolabels_jsonl(out / f"selection_{k}.jsonl", excerpt_pseudo)
+            excerpts, selection_report = _pool_round(k, model, pool, config, selection, out)
             corpus += excerpts
 
         params = replace(config._train_params, seed=derive_seed(config.seed, f"train-{k}"))

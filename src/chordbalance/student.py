@@ -16,6 +16,12 @@ frames into blocks, and one worker thread runs all of a block's work,
 from its logits to its share of the weight gradient, in one of the
 pass's block buffers, one per worker.
 
+Prediction makes one frame decision, :func:`decide_frames`: the argmax
+output of each frame, smoothed by a running median, and the posterior
+of that output.  Its constant runs become segments, each with the mean
+posterior over its frames as its confidence; :func:`predict_segments`
+builds all of them, and a self-training round only those it reads.
+
 The model's outputs are one fixed table, ``MODEL_CLASSES``: every
 scoreable chord class at every root, rendered as a chord label ("C:maj"
 ... "B:hdim7"), then "N", because a linear model on raw chroma cannot be
@@ -32,7 +38,7 @@ import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 # NumPy loads np.random, a dozen extension modules, on first use; load it
@@ -57,10 +63,14 @@ __all__ = [
     "PredictedSegments",
     "TrainParams",
     "TrainResult",
+    "decide_frames",
+    "frame_runs",
     "frame_targets",
     "init_model",
     "load_model",
     "predict_segments",
+    "run_confidence",
+    "run_segments",
     "save_model",
     "train",
 ]
@@ -381,18 +391,16 @@ def _running_median(idx: np.ndarray, window: int) -> np.ndarray:
     return windows[:, h]
 
 
-def predict_segments(
+def decide_frames(
     model: ClassifierModel,
     track: FeatureTrack,
     smoothing_window: int = 1,
-) -> PredictedSegments:
-    """Segment-level predictions for one track.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Model output index per frame and the posterior of that output.
 
-    Per-frame argmax labels, smoothed by an edge-padded running median
-    over ``smoothing_window`` frames (odd, >= 1; 1 means no smoothing),
-    then constant runs become segments.  Segment confidence is the mean
-    posterior of the emitted label over the segment's frames.  The
-    segments exactly tile [0, duration).
+    Per-frame argmax outputs, smoothed by an edge-padded running median
+    over ``smoothing_window`` frames (odd, >= 1; 1 means no smoothing).
+    The second array holds each frame's posterior of its smoothed output.
     """
     if len(track) == 0:
         raise ValueError(f"empty track {track.track_id!r}")
@@ -402,18 +410,55 @@ def predict_segments(
     idx = np.argmax(probs, axis=1)
     if smoothing_window > 1:
         idx = _running_median(idx, smoothing_window)
-    emitted = probs[np.arange(len(idx)), idx]
+    return idx, probs[np.arange(len(idx)), idx]
 
-    bounds = [0, *(int(b) for b in np.flatnonzero(np.diff(idx)) + 1), len(idx)]
+
+def frame_runs(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The constant runs of a frame array: their edges and the output of each.
+
+    Run ``i`` spans frames ``edges[i]:edges[i + 1]``.
+    """
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(outputs)) + 1, [len(outputs)]))
+    return edges, outputs[edges[:-1]]
+
+
+def run_confidence(emitted: np.ndarray, a: int, b: int) -> float:
+    """Confidence of the run of frames ``a:b``: the mean posterior of its output."""
+    return min(max(float(emitted[a:b].sum()) / (b - a), 0.0), 1.0)
+
+
+def run_segments(
+    track_id: str,
+    frame_rate: float,
+    edges: np.ndarray,
+    outputs: np.ndarray,
+    emitted: np.ndarray,
+    runs: Iterable[int],
+) -> PredictedSegments:
+    """The runs ``runs`` of :func:`frame_runs`, in order, as segments with their confidences."""
     segments = []
     confidences = []
-    rate = track.frame_rate
-    for a, b in zip(bounds, bounds[1:]):
-        cls = int(idx[a])
-        segments.append((Interval(a / rate, b / rate), _OUTPUT_LABELS[cls]))
-        confidences.append(min(max(float(emitted[a:b].sum()) / (b - a), 0.0), 1.0))
-    sequence = TimedLabelSequence(track.track_id, tuple(segments))
-    return PredictedSegments(sequence, tuple(confidences))
+    for i in runs:
+        a, b = int(edges[i]), int(edges[i + 1])
+        segments.append((Interval(a / frame_rate, b / frame_rate), _OUTPUT_LABELS[outputs[i]]))
+        confidences.append(run_confidence(emitted, a, b))
+    return PredictedSegments(TimedLabelSequence(track_id, tuple(segments)), tuple(confidences))
+
+
+def predict_segments(
+    model: ClassifierModel,
+    track: FeatureTrack,
+    smoothing_window: int = 1,
+) -> PredictedSegments:
+    """Segment-level predictions for one track.
+
+    The constant runs of :func:`decide_frames` become segments, each
+    with the mean posterior of its output over its frames as its
+    confidence.  The segments exactly tile [0, duration).
+    """
+    frame_outputs, emitted = decide_frames(model, track, smoothing_window)
+    edges, outputs = frame_runs(frame_outputs)
+    return run_segments(track.track_id, track.frame_rate, edges, outputs, emitted, range(len(outputs)))
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:

@@ -245,6 +245,50 @@ def _csv_bytes(frames: np.ndarray) -> bytes:
     return fields.tobytes().translate(None, b"\0")
 
 
+# Once its "-" bytes are dropped, each field _csv_bytes writes is 12 bytes:
+# "d.ddddddddd", then "," or, after a row's last field, "\n".
+_FIELD_BYTES = 12
+_DIGITS = [0, *range(2, 11)]
+
+
+def _csv_frames(data: bytes) -> np.ndarray | None:
+    """The values ``np.loadtxt`` reads from the bytes of ``_csv_bytes``, bit for bit.
+
+    Returns None for any other layout.  Each field's ten digits make a
+    whole number below 1e10, exact in float64, and its division by 1e9
+    is correctly rounded, as the parse of its text is.
+    """
+    size = len(data) - data.count(b"-")
+    if not size or size % (_FIELD_BYTES * N_CHROMA):
+        return None
+    # the result comes first, so that the scratch arrays free above it
+    values = np.zeros(size // _FIELD_BYTES)
+    raw = np.frombuffer(data, np.uint8)
+    signs = np.flatnonzero(raw == ord("-"))
+    # A sign opens a field: it follows the start or a separator, and the
+    # digit check below finds what follows it at the start of a field.
+    if signs.size and (signs[-1] == raw.size - 1
+                       or not np.isin(raw[signs[signs > 0] - 1], (ord(","), ord("\n"))).all()):
+        return None
+    fields = np.frombuffer(data.translate(None, b"-"), np.uint8).reshape(-1, _FIELD_BYTES)
+    ends = fields[:, -1].reshape(-1, N_CHROMA)
+    if not ((fields[:, 1] == ord(".")).all() and (ends[:, :-1] == ord(",")).all()
+            and (ends[:, -1] == ord("\n")).all()):
+        return None
+    # Horner's rule: every partial value is a whole number below 1e10
+    for column in _DIGITS:
+        digit = fields[:, column] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+        if (digit > 9).any():
+            return None
+        values *= 10.0
+        values += digit
+    values /= 1e9
+    # the k-th sign stands k bytes after where its field starts in the text
+    negative = (signs - np.arange(signs.size)) // _FIELD_BYTES
+    values[negative] = -values[negative]
+    return values.reshape(-1, N_CHROMA)
+
+
 def save_corpus(
     directory: str | Path,
     corpus: Sequence[tuple[FeatureTrack, TimedLabelSequence]],
@@ -281,6 +325,12 @@ def save_corpus(
         write_lab_file(directory / f"{track.track_id}.lab", labels)
 
 
+def _read_frames(path: Path) -> np.ndarray:
+    """The values of a feature CSV as ``np.loadtxt`` reads them, from array ops where the layout allows."""
+    frames = _csv_frames(path.read_bytes())
+    return np.loadtxt(path, delimiter=",", ndmin=2) if frames is None else frames
+
+
 def load_corpus(directory: str | Path) -> tuple[list[tuple[FeatureTrack, TimedLabelSequence]], dict]:
     """Load a corpus directory written by :func:`save_corpus`.
 
@@ -306,7 +356,7 @@ def load_corpus(directory: str | Path) -> tuple[list[tuple[FeatureTrack, TimedLa
     for tid in tracks:
         csv_path = directory / f"{tid}.csv"
         try:
-            track = FeatureTrack(tid, np.loadtxt(csv_path, delimiter=",", ndmin=2), fps)
+            track = FeatureTrack(tid, _read_frames(csv_path), fps)
         except ValueError as exc:
             raise ValueError(f"{csv_path}: {exc}") from None
         corpus.append((track, read_lab_file(directory / f"{tid}.lab", track_id=tid)))

@@ -14,10 +14,14 @@ step's block products ``grad[a:b].T @ x[a:b]`` in a plain loop.  The
 corpus oracle draws each chord's class with ``Generator.choice`` and
 renders each segment as a fresh tiled template plus a noise block, and
 the corpus CSV oracle formats every value of a track with one ``%`` call.
-Label-to-class reduction, the batch objective, the templates and the
-per-track seed are shared with the library on purpose; the duration
-arithmetic, the frame assignment, the training loop and the order of
-the corpus draws are what gets verified here.
+The pool-round oracle builds every segment of every pool track with
+``predict_segments``, selects from all of them and cuts each excerpt by
+clipping every segment of its track.
+Label-to-class reduction, the batch objective, the templates, the
+per-track seed, the segment decoder, the selection and the augmentation
+are shared with the library on purpose; the duration arithmetic, the
+frame assignment, the training loop, the order of the corpus draws and
+which segments a pool round builds are what gets verified here.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from chordbalance import focal
 from chordbalance.annotations import Interval, TimedLabelSequence
-from chordbalance.augment import derive_seed
+from chordbalance.augment import add_noise, derive_seed, draw_semitones, pitch_shift
 from chordbalance.chords import (
     NO_CHORD,
     PITCH_NAMES,
@@ -35,7 +39,16 @@ from chordbalance.chords import (
     map_to_class,
     parse_chord_label,
 )
-from chordbalance.student import _BLOCK_ROWS, MODEL_CLASSES, N_CHROMA, FeatureTrack, init_model
+from chordbalance.selection import select_balanced_subset
+from chordbalance.student import (
+    _BLOCK_ROWS,
+    MODEL_CLASSES,
+    N_CHROMA,
+    FeatureTrack,
+    PredictedSegments,
+    init_model,
+    predict_segments,
+)
 from chordbalance.synth import CHORD_CLASS_INTERVALS, chord_template, no_chord_template
 
 STEP = 0.01
@@ -258,3 +271,45 @@ def train(corpus, params, validation=None, dtype=np.float64):
         w = best_w
     final_loss = loss_and_grad(w, x, y, frame_w)[0]
     return w, train_losses, val_losses if use_val else None, final_loss
+
+
+def pool_round(k, model, pool, window, selection, augment):
+    """(dataset, report, excerpts, pseudolabels) of self-training round ``k`` over ``pool``.
+
+    Every pool track becomes segments, selection sees all of them, and
+    each excerpt clips every segment of its track to its span.
+    """
+    pseudo = {tid: predict_segments(model, track, window) for tid, track in pool.items()}
+    durations = {tid: track.duration for tid, track in pool.items()}
+    dataset, report = select_balanced_subset(list(pseudo.values()), durations, selection)
+    corpus = []
+    pseudolabels = []
+    for tid, excerpts in dataset.intervals.items():
+        track = pool[tid]
+        predicted = pseudo[tid]
+        fps = track.frame_rate
+        for excerpt in excerpts:
+            i0 = int(round(excerpt.start * fps))
+            i1 = int(round(excerpt.end * fps))
+            eid = f"{tid}@{i0}-{i1}"
+            t0 = i0 / fps
+            t1 = min(i1, len(track)) / fps
+            segments = []
+            confidences = []
+            for (iv, lab), conf in zip(predicted.sequence.segments, predicted.confidences):
+                lo = max(iv.start, t0)
+                hi = min(iv.end, t1)
+                if hi > lo:
+                    segments.append((Interval(lo - t0, hi - t0), lab))
+                    confidences.append(conf)
+            key = f"iter{k}:{eid}"
+            shift_rng = np.random.default_rng(derive_seed(augment.seed, f"shift:{key}"))
+            aug_track, aug_labels = pitch_shift(FeatureTrack(eid, track.frames[i0:i1], fps),
+                                                TimedLabelSequence(eid, tuple(segments)),
+                                                draw_semitones(shift_rng, augment.semitone_range))
+            if augment.noise_sigma > 0:
+                aug_track = add_noise(aug_track, augment.noise_sigma,
+                                      derive_seed(augment.seed, f"noise:{key}"))
+            corpus.append((aug_track, aug_labels))
+            pseudolabels.append(PredictedSegments(aug_labels, tuple(confidences)))
+    return dataset, report, corpus, pseudolabels

@@ -4,8 +4,10 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
+from chordbalance import pipeline
 from chordbalance.augment import AugmentSpec
 from chordbalance.pipeline import (
     ExperimentConfig,
@@ -14,8 +16,11 @@ from chordbalance.pipeline import (
     run_experiment,
     write_comparison_csvs,
 )
-from chordbalance.selection import read_pseudolabels_jsonl
+from chordbalance.selection import SelectionConfig, read_pseudolabels_jsonl
+from chordbalance.student import MODEL_CLASSES, N_CHROMA, ClassifierModel
 from chordbalance.synth import CorpusSpec, generate_corpus, load_corpus, save_corpus
+
+import oracles
 
 
 def small_spec(n_tracks, seed, prefix):
@@ -284,6 +289,56 @@ class TestRun:
         alt = make_config(corpora, unlabeled_dir=corpora["unlabeled_alt"], iterations=0, epochs=config.epochs)
         alt_reports = run_experiment(alt, tmp_path)
         assert alt_reports[0].metrics.to_dict() == reports[0].metrics.to_dict()
+
+
+class TestPoolRound:
+    """A round's frame pass selects and cuts what segments of the whole pool would."""
+
+    @staticmethod
+    def pool(seed):
+        # short chords, and tracks both shorter and longer than an excerpt
+        spec = CorpusSpec(n_tracks=6, track_length_range=(2.0, 9.0), chord_duration_range=(0.3, 1.5),
+                          noise_sigma=0.3, seed=seed, track_prefix="pool")
+        return {track.track_id: track for track, _ in generate_corpus(spec)}
+
+    @staticmethod
+    def round_of_both(k, model, pool, window, selection, augment):
+        runs, dataset, report = pipeline._select_from_pool(model, pool, window, selection)
+        excerpts, pseudolabels = pipeline._augmented_excerpts(k, augment, pool, runs, dataset)
+        want = oracles.pool_round(k, model, pool, window, selection, augment)
+        assert dataset == want[0]
+        assert report == want[1]
+        assert [(t.track_id, t.frame_rate, t.frames.tobytes(), labels) for t, labels in excerpts] == \
+            [(t.track_id, t.frame_rate, t.frames.tobytes(), labels) for t, labels in want[2]]
+        assert pseudolabels == want[3]
+        return runs, dataset
+
+    def test_matches_segments_of_the_whole_pool(self):
+        selection = SelectionConfig(min_length=3.0, labeled_total=40.0)
+        augment = AugmentSpec((-5, 6), 0.1, 3)
+        cuts_inside_runs = ends_at_track_end = 0
+        for seed in (1, 2, 3):
+            pool = self.pool(seed)
+            model = ClassifierModel(np.random.default_rng(seed).normal(0.0, 2.0, (len(MODEL_CLASSES), N_CHROMA + 1)))
+            for window in (1, 3, 5):
+                runs, dataset = self.round_of_both(seed, model, pool, window, selection, augment)
+                assert dataset.events
+                for tid, excerpts in dataset.intervals.items():
+                    edges = runs[tid].edges.tolist()
+                    fps = pool[tid].frame_rate
+                    for excerpt in excerpts:
+                        i0, i1 = round(excerpt.start * fps), round(excerpt.end * fps)
+                        cuts_inside_runs += (i0 not in edges) + (i1 not in edges)
+                        ends_at_track_end += i1 == len(pool[tid])
+        assert cuts_inside_runs and ends_at_track_end
+
+    def test_teacher_without_rare_outputs_selects_nothing(self):
+        weights = np.zeros((len(MODEL_CLASSES), N_CHROMA + 1))
+        weights[MODEL_CLASSES.index("C:maj"), -1] = 10.0
+        selection = SelectionConfig(min_length=3.0, labeled_total=40.0)
+        _, dataset = self.round_of_both(1, ClassifierModel(weights), self.pool(4), 3, selection,
+                                        AugmentSpec((-5, 6), 0.1, 3))
+        assert dataset.intervals == {} and dataset.events == ()
 
 
 class TestGuards:

@@ -1,5 +1,6 @@
 """Synthetic corpus generator: templates, determinism, persistence."""
 
+import io
 import json
 import re
 
@@ -13,6 +14,8 @@ from chordbalance.metrics import type_distribution
 from chordbalance.student import FeatureTrack
 from chordbalance.synth import (
     _csv_bytes,
+    _csv_frames,
+    _read_frames,
     CHORD_CLASS_INTERVALS,
     CorpusSpec,
     DEFAULT_CLASS_DISTRIBUTION,
@@ -284,6 +287,77 @@ class TestPersistence:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         frames = values[rng.integers(len(values), size=(data.draw(st.integers(1, 50)), 12))]
         assert _csv_bytes(frames) == oracles.csv_bytes(frames)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_csv_frames_read_as_loadtxt(self, data):
+        # the values of test_csv_bytes_match_percent_format; halves, signed
+        # zeros, -1e-12 and values that print as 10.000000000 among them
+        magnitudes = st.one_of(self._ONE_DIGIT, st.sampled_from([9.9999999994, 9.9999999995, 9.9999999996]))
+        signed = st.builds(lambda v, negative: -v if negative else v, magnitudes, st.booleans())
+        values = np.array(data.draw(st.lists(signed, min_size=1, max_size=30)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        frames = values[rng.integers(len(values), size=(data.draw(st.integers(1, 50)), 12))]
+        text = _csv_bytes(frames)
+        want = np.loadtxt(io.BytesIO(text), delimiter=",", ndmin=2)
+        got = _csv_frames(text)
+        if np.abs(want).max() >= 10.0:
+            assert got is None  # a field with two whole digits is another layout
+        else:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    _ROWS = b"0.100000000,-0.000000000" + b",0.500000000" * 9 + b",-1.250000000\n"
+    _ROWS += _ROWS.replace(b"0.1", b"9.9")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _ROWS.replace(b"\n", b"\r\n"),
+            _ROWS[:-1],
+            _ROWS.replace(b",-1.250000000", b""),
+            _ROWS.replace(b"\n", b",0.500000000\n"),
+            _ROWS.replace(b"\n", b",", 1),
+            _ROWS.replace(b"\n", b",0.5\n").replace(b",0.500000000,", b",", 1),
+            b"+" + _ROWS,
+            _ROWS.replace(b",-1.25", b",--1.25"),
+            _ROWS.replace(b",-1.25", b",-+1.25"),
+            _ROWS.replace(b"0.1000", b"-0.1000", 1).replace(b",-0.000", b",0-.000"),
+            _ROWS.replace(b"0.100000000", b"0.1-00000000", 1),
+            _ROWS + b"-",
+            _ROWS.replace(b"0.100000000", b"0.1000000000"),
+            _ROWS.replace(b"9.900000000", b"19.900000000"),
+            _ROWS.replace(b"0.500000000", b"0.5000000x0", 1),
+            _ROWS.replace(b"0.500000000", b"0 500000000", 1),
+            _ROWS.replace(b",", b";", 1),
+            b"",
+        ],
+        ids=["crlf", "no-final-newline", "11-columns", "13-columns", "24-columns", "short-field-same-width",
+             "plus", "two-minus", "minus-plus", "minus-before-point", "minus-between-digits", "trailing-minus",
+             "10-decimals", "two-whole-digits", "letter", "space", "semicolon", "empty"],
+    )
+    def test_other_layouts_load_as_loadtxt(self, tmp_path, text):
+        assert _csv_frames(text) is None
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+
+        def outcome(read):
+            try:
+                frames = read()
+            except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+                return type(exc), str(exc)
+            return frames.shape, frames.dtype, frames.tobytes()
+
+        assert outcome(lambda: _read_frames(path)) == outcome(
+            lambda: np.loadtxt(path, delimiter=",", ndmin=2))
+
+    def test_layout_rows_read_as_loadtxt(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(self._ROWS)
+        got = _csv_frames(self._ROWS)
+        assert got is not None
+        assert got.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes()
+        assert np.signbit(got[0, 1]) and got[0, 1] == 0.0
 
     @pytest.mark.parametrize(
         "edit,message",
