@@ -29,7 +29,7 @@ from .chords import (
     parse_chord_label,
     transpose,
 )
-from .focal import loss_and_logit_grad, sequence_loss
+from .focal import sequence_loss
 from .metrics import (
     MetricsReport,
     PerTypeLedger,

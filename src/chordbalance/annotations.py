@@ -75,12 +75,6 @@ class TimedLabelSequence:
                     f"[{a.start}, {a.end}) and [{b.start}, {b.end})"
                 )
 
-    @classmethod
-    def build(cls, track_id: str, segments: Iterable[tuple[Interval, ChordLabel]]) -> "TimedLabelSequence":
-        """Sort segments by start time and validate them."""
-        ordered = tuple(sorted(segments, key=lambda seg: (seg[0].start, seg[0].end)))
-        return cls(track_id, ordered)
-
     def __len__(self) -> int:
         return len(self.segments)
 
@@ -94,11 +88,6 @@ class TimedLabelSequence:
     @property
     def end(self) -> float:
         return self.segments[-1][0].end if self.segments else 0.0
-
-    @property
-    def covered(self) -> float:
-        """Total duration of the segments themselves, gaps excluded."""
-        return sum(iv.duration for iv, _ in self.segments)
 
 
 def read_lab(text: str, track_id: str) -> TimedLabelSequence:

@@ -30,7 +30,6 @@ __all__ = [
     "QUALITY_CLASS_TABLE",
     "REPRESENTATIVE_QUALITY",
     "UNKNOWN",
-    "chord",
     "label_to_string",
     "map_to_class",
     "parse_chord_label",
@@ -134,11 +133,6 @@ class ChordLabel:
 
 NO_CHORD: Final = ChordLabel("no_chord")
 UNKNOWN: Final = ChordLabel("unknown")
-
-
-def chord(root: int, quality: str = "maj", bass: str | None = None) -> ChordLabel:
-    """Build a rooted chord label."""
-    return ChordLabel("chord", root, quality, bass)
 
 
 def pitch_class(name: str) -> int:

@@ -10,13 +10,14 @@ plain cross-entropy.
 
 :func:`frame_losses` is the training objective: per-frame loss and,
 optionally, logit gradient of a block of rows, safe to run on several
-blocks at once.  :func:`loss_and_logit_grad` applies it to a whole
-batch and :func:`sequence_loss` to validated probabilities that come
-from outside; both return the mean loss.
+blocks at once.  :func:`sequence_loss` applies it to validated
+probabilities that come from outside and returns the mean loss.
 
 True-class probabilities below a small floor are clamped before the log
-and the clamp is counted, so silently broken inputs surface in
-:func:`clamp_count` instead of as NaN.
+and the clamp is counted, so silently broken inputs show as a count
+instead of as NaN: :func:`frame_losses` returns it to its caller (the
+trainer reports its own in ``TrainResult.clamps``), and
+:func:`sequence_loss` adds it to :func:`clamp_count`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "PROB_FLOOR",
     "clamp_count",
     "frame_losses",
-    "loss_and_logit_grad",
     "reset_clamp_count",
     "sequence_loss",
 ]
@@ -38,18 +38,13 @@ _clamp_events = 0
 
 
 def clamp_count() -> int:
-    """Number of probability-floor clamps since the last reset."""
+    """Number of probability-floor clamps in :func:`sequence_loss` since the last reset."""
     return _clamp_events
 
 
 def reset_clamp_count() -> None:
     global _clamp_events
     _clamp_events = 0
-
-
-def _note_clamps(n: int) -> None:
-    global _clamp_events
-    _clamp_events += n
 
 
 def frame_losses(probs: np.ndarray, y: np.ndarray, gamma: float,
@@ -102,17 +97,6 @@ def frame_losses(probs: np.ndarray, y: np.ndarray, gamma: float,
     return clamps
 
 
-def loss_and_logit_grad(probs: np.ndarray, y: np.ndarray, gamma: float,
-                        weights: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """``mean(w * FL(p_t))`` of a batch and ``probs``, overwritten with its
-    per-frame logit gradient (see :func:`frame_losses`); the gradient of
-    the mean is that array divided by ``n_frames``.
-    """
-    losses = np.empty(y.shape[0], probs.dtype)
-    _note_clamps(frame_losses(probs, y, gamma, weights, losses, grad=True))
-    return float(losses.mean(dtype=np.float64)), probs
-
-
 def sequence_loss(frames: np.ndarray, targets: np.ndarray, gamma: float,
                   class_weight_vector: np.ndarray | None = None) -> float:
     """Class-weight-scaled mean focal loss over a frame sequence.
@@ -133,6 +117,7 @@ def sequence_loss(frames: np.ndarray, targets: np.ndarray, gamma: float,
         ``mean(w[target] * FL(p_t))`` with unit weights by default, so
         gamma = 0 and uniform weights give the mean cross-entropy.
     """
+    global _clamp_events
     probs = np.asarray(frames, dtype=float)
     idx = np.asarray(targets)
     if probs.ndim != 2:
@@ -152,5 +137,5 @@ def sequence_loss(frames: np.ndarray, targets: np.ndarray, gamma: float,
 
     weights = None if class_weight_vector is None else np.asarray(class_weight_vector, dtype=float)[idx]
     losses = np.empty(idx.shape[0])
-    _note_clamps(frame_losses(probs, idx, gamma, weights, losses))
+    _clamp_events += frame_losses(probs, idx, gamma, weights, losses)
     return float(losses.mean())

@@ -100,10 +100,6 @@ class SelectionReport:
 
     per_class: dict[str, ClassSelection]
 
-    @property
-    def total_selected(self) -> float:
-        return sum(sel.selected_duration for sel in self.per_class.values())
-
 
 @dataclass
 class ExcerptDataset:
@@ -244,9 +240,24 @@ def write_pseudolabels_jsonl(path: str | Path, pseudolabels: Iterable[PredictedS
                 ) + "\n")
 
 
+_NUMBER = (int, float)  # json.loads gives exactly these types, so a bool is neither
+
+
+def _type_error(rec: dict) -> ValueError:
+    """The error naming the first field of a pseudolabel record, known to
+    hold one, whose JSON type is wrong."""
+    key = next((key for key in ("track", "label") if type(rec[key]) is not str), None)
+    if key is not None:
+        return ValueError(f"{key} {json.dumps(rec[key])} is not a string")
+    key = next(key for key in ("start", "end", "confidence") if type(rec[key]) not in _NUMBER)
+    return ValueError(f"{key} {json.dumps(rec[key])} is not a number")
+
+
 def read_pseudolabels_jsonl(path: str | Path) -> list[PredictedSegments]:
     """Read pseudolabels back, one PredictedSegments per track; malformed
-    or non-UTF-8 input raises ``ValueError`` naming the file."""
+    or non-UTF-8 input raises ``ValueError`` naming the file.  ``track``
+    and ``label`` must be JSON strings, ``start``, ``end`` and
+    ``confidence`` JSON numbers."""
     grouped: dict[str, list[tuple[Interval, ChordLabel, float, int]]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -256,15 +267,17 @@ def read_pseudolabels_jsonl(path: str | Path) -> list[PredictedSegments]:
                     continue
                 try:
                     rec = json.loads(line)
-                    tid = str(rec["track"])
-                    label, confidence = rec["label"], float(rec["confidence"])
-                    if not isinstance(label, str):
-                        raise ValueError(f"label {label!r} is not a string")
+                    tid, label = rec["track"], rec["label"]
+                    start, end, confidence = rec["start"], rec["end"], rec["confidence"]
+                    if not (type(tid) is type(label) is str and type(start) in _NUMBER
+                            and type(end) in _NUMBER and type(confidence) in _NUMBER):
+                        raise _type_error(rec)
+                    confidence = float(confidence)
                     if not 0.0 <= confidence <= 1.0:
                         raise ValueError(f"confidence {confidence} outside [0, 1]")
-                    interval = Interval(float(rec["start"]), float(rec["end"]))
+                    interval = Interval(float(start), float(end))
                     entry = (interval, parse_chord_label(label), confidence, lineno)
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
                 grouped.setdefault(tid, []).append(entry)
     except UnicodeDecodeError as exc:

@@ -374,7 +374,6 @@ def train(
             w = best_w
             epochs_run = best_epoch
         final_loss = mean_loss(w, xT, y, frame_w)[0]
-    focal._note_clamps(clamps)
     return TrainResult(ClassifierModel(w, params), final_loss, epochs_run, train_losses, val_losses, clamps)
 
 

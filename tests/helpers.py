@@ -10,10 +10,21 @@ from __future__ import annotations
 import numpy as np
 
 from chordbalance.annotations import Interval, TimedLabelSequence, per_class_overlap
-from chordbalance.chords import NO_CHORD, REPRESENTATIVE_QUALITY, UNKNOWN, chord, map_to_class
+from chordbalance.chords import NO_CHORD, REPRESENTATIVE_QUALITY, UNKNOWN, ChordLabel, map_to_class
 from chordbalance.student import PredictedSegments, frame_targets
 
 SCOREABLE = ("maj", "min", "7", "min7", "maj7", "dim", "hdim7", "aug", "sus", "N")
+
+
+def chord(root, quality="maj", bass=None):
+    """Rooted chord label."""
+    return ChordLabel("chord", root, quality, bass)
+
+
+def build_sequence(track_id, segments):
+    """Sequence of ``segments`` sorted by start (then end) time, and validated."""
+    ordered = sorted(segments, key=lambda seg: (seg[0].start, seg[0].end))
+    return TimedLabelSequence(track_id, tuple(ordered))
 
 
 def random_label(rng, classes=SCOREABLE, x_prob=0.0):

@@ -17,18 +17,19 @@ the corpus CSV oracle formats every value of a track with one ``%`` call.
 The pool-round oracle builds every segment of every pool track with
 ``predict_segments``, selects from all of them and cuts each excerpt by
 clipping every segment of its track.
-Label-to-class reduction, the batch objective, the templates, the
-per-track seed, the segment decoder, the selection and the augmentation
-are shared with the library on purpose; the duration arithmetic, the
-frame assignment, the training loop, the order of the corpus draws and
-which segments a pool round builds are what gets verified here.
+Label-to-class reduction, the per-frame objective ``focal.frame_losses``
+(which :func:`loss_and_logit_grad` takes the batch mean of), the
+templates, the per-track seed, the segment decoder, the selection and
+the augmentation are shared with the library on purpose; the duration
+arithmetic, the frame assignment, the training loop, the order of the
+corpus draws and which segments a pool round builds are what gets
+verified here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from chordbalance import focal
 from chordbalance.annotations import Interval, TimedLabelSequence
 from chordbalance.augment import add_noise, derive_seed, draw_semitones, pitch_shift
 from chordbalance.chords import (
@@ -39,6 +40,7 @@ from chordbalance.chords import (
     map_to_class,
     parse_chord_label,
 )
+from chordbalance.focal import frame_losses
 from chordbalance.selection import select_balanced_subset
 from chordbalance.student import (
     _BLOCK_ROWS,
@@ -211,6 +213,17 @@ def class_weight_vector(weights):
     return np.asarray([weights.get(map_to_class(parse_chord_label(name)), 1.0) for name in MODEL_CLASSES])
 
 
+def loss_and_logit_grad(probs, y, gamma, weights=None):
+    """(``mean(w * FL(p_t))``, per-frame logit gradient, clamp count) of a batch.
+
+    The gradient is ``probs``, overwritten by ``focal.frame_losses``; the
+    gradient of the mean is that array divided by ``n_frames``.
+    """
+    losses = np.empty(y.shape[0], probs.dtype)
+    clamps = frame_losses(probs, y, gamma, weights, losses, grad=True)
+    return float(losses.mean(dtype=np.float64)), probs, clamps
+
+
 def _softmax(z):
     """Softmax down axis 0 of (classes, frames) logits, returned as (frames, classes) rows."""
     shifted = z - z.max(axis=0)
@@ -219,13 +232,14 @@ def _softmax(z):
 
 
 def train(corpus, params, validation=None, dtype=np.float64):
-    """(weights, train losses, validation losses, final loss) of the allocating loop.
+    """(weights, train losses, validation losses, final loss, clamps) of the allocating loop.
 
     Full-batch gradient descent with the same init, objective, early
     stopping and best-weight restore as ``student.train``.  Every pass
     runs in ``dtype``: inputs, frame weights and a copy of the weights
     are cast to it.  The weight step sums the gradient products of
     ``student._BLOCK_ROWS`` frames at a time in float64, in block order.
+    ``clamps`` counts the probability-floor clamps of every pass.
     """
     wvec = class_weight_vector(params.class_weights) if params.class_weights is not None else None
     gamma = params.gamma if params.loss == "focal" else 0.0
@@ -236,8 +250,13 @@ def train(corpus, params, validation=None, dtype=np.float64):
         y = np.concatenate([frame_targets(track, labels) for track, labels in tracks])
         return x, y, wvec[y].astype(dtype) if wvec is not None else None
 
+    clamps = 0
+
     def loss_and_grad(w, x, y, frame_w):
-        return focal.loss_and_logit_grad(_softmax(w.astype(dtype) @ x.T), y, gamma, frame_w)
+        nonlocal clamps
+        loss, grad, count = loss_and_logit_grad(_softmax(w.astype(dtype) @ x.T), y, gamma, frame_w)
+        clamps += count
+        return loss, grad
 
     def step(grad, x):
         total = np.zeros((len(MODEL_CLASSES), N_CHROMA + 1))
@@ -270,7 +289,7 @@ def train(corpus, params, validation=None, dtype=np.float64):
     if best_w is not None:
         w = best_w
     final_loss = loss_and_grad(w, x, y, frame_w)[0]
-    return w, train_losses, val_losses if use_val else None, final_loss
+    return w, train_losses, val_losses if use_val else None, final_loss, clamps
 
 
 def pool_round(k, model, pool, window, selection, augment):

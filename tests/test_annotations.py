@@ -18,14 +18,22 @@ from chordbalance.annotations import (
     write_lab,
     write_lab_file,
 )
-from chordbalance.chords import NO_CHORD, UNKNOWN, chord, parse_chord_label
+from chordbalance.chords import NO_CHORD, UNKNOWN, parse_chord_label
 
-from helpers import SCOREABLE, grid_sequence, matched_duration, random_pair, reference_duration
+from helpers import (
+    SCOREABLE,
+    build_sequence,
+    chord,
+    grid_sequence,
+    matched_duration,
+    random_pair,
+    reference_duration,
+)
 from oracles import sampled_matched
 
 
 def seq(track_id, *triples):
-    return TimedLabelSequence.build(
+    return build_sequence(
         track_id, [(Interval(a, b), parse_chord_label(text)) for a, b, text in triples]
     )
 
@@ -43,7 +51,7 @@ class TestInterval:
 
 class TestTimedLabelSequence:
     def test_build_sorts(self):
-        s = TimedLabelSequence.build(
+        s = build_sequence(
             "t", [(Interval(1.0, 2.0), NO_CHORD), (Interval(0.0, 1.0), chord(0))]
         )
         assert [iv.start for iv, _ in s.segments] == [0.0, 1.0]
@@ -56,10 +64,9 @@ class TestTimedLabelSequence:
         s = seq("t", (1.0, 2.0, "C:maj"), (3.0, 5.0, "N"))
         assert s.span == 4.0  # includes the interior gap
         assert s.end == 5.0
-        assert s.covered == 3.0
         assert len(s) == 2
         empty = TimedLabelSequence("t")
-        assert empty.span == 0.0 and empty.end == 0.0 and empty.covered == 0.0
+        assert empty.span == 0.0 and empty.end == 0.0
 
 
 class TestReadLab:
@@ -201,7 +208,7 @@ def random_free_sequence(rng, track_id, length_s):
             label = chord(int(rng.integers(12)), {"sus": "sus4"}.get(cls, cls))
         segments.append((Interval(t, end), label))
         t = end + (float(rng.uniform(0.0, 0.8)) if rng.random() < 0.3 else 0.0)
-    return TimedLabelSequence.build(track_id, segments)
+    return build_sequence(track_id, segments)
 
 
 class TestMatchedDuration:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chordbalance.annotations import Interval, TimedLabelSequence
+from chordbalance.annotations import Interval
 from chordbalance.augment import (
     AugmentSpec,
     add_noise,
@@ -15,13 +15,15 @@ from chordbalance.chords import parse_chord_label
 from chordbalance.student import FeatureTrack
 from chordbalance.synth import chord_template
 
+from helpers import build_sequence
+
 
 def make_track(rng, n=40):
     return FeatureTrack("t", rng.uniform(0.0, 1.0, (n, 12)), frame_rate=10.0)
 
 
 def make_labels():
-    return TimedLabelSequence.build(
+    return build_sequence(
         "t",
         [
             (Interval(0.0, 2.0), parse_chord_label("C:maj")),
@@ -72,7 +74,7 @@ class TestPitchShift:
     def test_template_moves_to_shifted_root(self):
         frames = np.tile(chord_template("maj", 0), (5, 1))
         track = FeatureTrack("t", frames)
-        labels = TimedLabelSequence.build(
+        labels = build_sequence(
             "t", [(Interval(0.0, 0.5), parse_chord_label("C:maj"))]
         )
         out_track, out_labels = pitch_shift(track, labels, 2)

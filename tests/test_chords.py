@@ -14,13 +14,14 @@ from chordbalance.chords import (
     UNKNOWN,
     ChordLabel,
     ChordParseError,
-    chord,
     label_to_string,
     map_to_class,
     parse_chord_label,
     pitch_class,
     transpose,
 )
+
+from helpers import chord
 
 
 def test_parse_no_chord():

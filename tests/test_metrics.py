@@ -23,12 +23,12 @@ from chordbalance.metrics import (
     write_report_json,
 )
 
-from helpers import random_pair
+from helpers import build_sequence, random_pair
 from oracles import sampled_corpus_scores, sampled_csr
 
 
 def seq(track_id, *triples):
-    return TimedLabelSequence.build(
+    return build_sequence(
         track_id, [(Interval(a, b), parse_chord_label(text)) for a, b, text in triples]
     )
 

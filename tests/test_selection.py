@@ -2,13 +2,14 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordbalance.annotations import Interval, TimedLabelSequence
+from chordbalance.annotations import Interval
 from chordbalance.chords import map_to_class, parse_chord_label
 from chordbalance.metrics import type_distribution
 from chordbalance.selection import (
@@ -25,7 +26,7 @@ from chordbalance.selection import (
 )
 from chordbalance.student import PredictedSegments
 
-from helpers import pseudo_pool
+from helpers import build_sequence, pseudo_pool
 
 RARE = DEFAULT_RARE_CLASSES
 
@@ -34,7 +35,7 @@ SKEWED = ("maj",) * 10 + ("min",) * 4 + ("N",) * 2 + ("7", "min7", "maj7", "dim"
 
 
 def labelled(track_id, triples, confidences):
-    seq = TimedLabelSequence.build(
+    seq = build_sequence(
         track_id, [(Interval(a, b), parse_chord_label(text)) for a, b, text in triples]
     )
     return PredictedSegments(seq, tuple(confidences))
@@ -250,7 +251,8 @@ class TestInvariants:
         for seed in (63, 64, 65):
             pool, durations = self.make_pool(seed)
             (dataset, report), _ = self.select(pool, durations)
-            assert report.total_selected == pytest.approx(dataset.total_duration, abs=1e-9)
+            credited = sum(sel.selected_duration for sel in report.per_class.values())
+            assert credited == pytest.approx(dataset.total_duration, abs=1e-9)
             new_sum = sum(ev.new_covered for ev in dataset.events)
             assert new_sum == pytest.approx(dataset.total_duration, abs=1e-9)
 
@@ -313,7 +315,8 @@ class TestSelectionProperties:
             for iv in excerpts:
                 assert iv.duration >= min_length - 1e-9 or iv == Interval(0.0, duration)
         # each selected second is credited to exactly one class, once
-        assert report.total_selected == pytest.approx(dataset.total_duration, abs=1e-9)
+        credited = sum(sel.selected_duration for sel in report.per_class.values())
+        assert credited == pytest.approx(dataset.total_duration, abs=1e-9)
 
 
 class TestDistribution:
@@ -343,6 +346,35 @@ class TestRoundTrips:
         path.write_text('{"track": "t", "start": 0.0}\n')
         with pytest.raises(ValueError, match="line 1"):
             read_pseudolabels_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"track": 7, "start": "0.5", "end": True, "confidence": "1"}, "track 7 is not a string"),
+            ({"start": "0.5"}, 'start "0.5" is not a number'),
+            ({"end": True}, "end true is not a number"),
+            ({"confidence": "1"}, 'confidence "1" is not a number'),
+            ({"confidence": True}, "confidence true is not a number"),
+            ({"label": None}, "label null is not a string"),
+            ({"end": 10**400}, "int too large to convert to float"),
+        ],
+        ids=["all", "string-start", "bool-end", "string-confidence", "bool-confidence", "null-label",
+             "huge-end"],
+    )
+    def test_pseudolabels_jsonl_requires_json_types(self, tmp_path, edit, message):
+        path = tmp_path / "bad.jsonl"
+        record = {"track": "t", "start": 0.0, "end": 1.0, "label": "C:maj", "confidence": 0.5}
+        path.write_text(json.dumps({**record, **edit}) + "\n", "utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 1: {message}')}$"):
+            read_pseudolabels_jsonl(path)
+
+    def test_pseudolabels_jsonl_reads_whole_numbers_as_floats(self, tmp_path):
+        path = tmp_path / "pseudo.jsonl"
+        path.write_text('{"track": "t", "start": 0, "end": 2, "label": "C:maj", "confidence": 1}\n', "utf-8")
+        (ps,) = read_pseudolabels_jsonl(path)
+        ((interval, _),) = ps.sequence.segments
+        assert (interval.start, interval.end, ps.confidences) == (0.0, 2.0, (1.0,))
+        assert type(interval.start) is float and type(ps.confidences[0]) is float
 
     def test_pseudolabels_jsonl_repeated_label_gives_the_same_label(self, tmp_path):
         path = tmp_path / "pseudo.jsonl"

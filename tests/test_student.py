@@ -33,7 +33,7 @@ from chordbalance.student import (
 from chordbalance.synth import CorpusSpec, generate_corpus
 
 import oracles
-from helpers import frame_accuracy
+from helpers import build_sequence, frame_accuracy
 
 
 def clean_corpus(n_tracks=6, seed=3):
@@ -123,7 +123,7 @@ class TestClassifierModel:
 class TestFrameTargets:
     def test_alignment_and_gap_fill(self):
         track = FeatureTrack("t", np.zeros((10, 12)), frame_rate=10.0)
-        labels = TimedLabelSequence.build(
+        labels = build_sequence(
             "t", [(Interval(0.0, 0.5), parse_chord_label("C:maj"))]
         )
         targets = frame_targets(track, labels)
@@ -133,14 +133,14 @@ class TestFrameTargets:
         track = FeatureTrack("t", np.zeros((4, 12)), frame_rate=10.0)
         # X, N, and chords whose quality has no vocabulary class
         for text in ("X", "N", "C:aug7", "G:5"):
-            labels = TimedLabelSequence.build(
+            labels = build_sequence(
                 "t", [(Interval(0.0, 0.4), parse_chord_label(text))]
             )
             np.testing.assert_array_equal(frame_targets(track, labels), [108] * 4)
 
     def test_root_specific_targets(self):
         track = FeatureTrack("t", np.zeros((4, 12)), frame_rate=10.0)
-        labels = TimedLabelSequence.build(
+        labels = build_sequence(
             "t", [(Interval(0.0, 0.4), parse_chord_label("D:maj6"))]
         )
         # maj6 reduces to the maj class at root D
@@ -256,7 +256,7 @@ class TestMatchesAllocatingLoop:
         corpus, val = corpora
         val = val if with_val else None
         result = train(corpus, params, validation=val)
-        weights, train_losses, val_losses, final_loss = oracles.train(
+        weights, train_losses, val_losses, final_loss, _ = oracles.train(
             corpus, params, validation=val, dtype=np.float32)
         assert result.model.weights.dtype == np.float64
         np.testing.assert_array_equal(result.model.weights, weights)
@@ -266,17 +266,22 @@ class TestMatchesAllocatingLoop:
             assert len(result.val_losses) < params.epochs  # patience fired
             assert result.val_losses == val_losses
 
+    # A saturating step drives true-class probabilities under the floor.
+    CLAMPING = TrainParams(learning_rate=1e5, epochs=4, seed=2, loss="focal", patience=10)
+
     def test_clamp_count_matches(self, corpora):
-        # A saturating step drives true-class probabilities under the floor.
         corpus, val = corpora
-        params = TrainParams(learning_rate=1e5, epochs=4, seed=2, loss="focal", patience=10)
-        focal.reset_clamp_count()
-        result = train(corpus, params, validation=val)
+        result = train(corpus, self.CLAMPING, validation=val)
         assert result.clamps > 0
-        assert focal.clamp_count() == result.clamps
-        focal.reset_clamp_count()
-        oracles.train(corpus, params, validation=val, dtype=np.float32)
-        assert result.clamps == focal.clamp_count()
+        assert result.clamps == oracles.train(corpus, self.CLAMPING, validation=val, dtype=np.float32)[4]
+
+    def test_clamps_leave_focal_counter_alone(self, corpora):
+        # the trainer reports its clamps in its result and writes no module state
+        corpus, val = corpora
+        before = focal.clamp_count()
+        result = train(corpus, self.CLAMPING, validation=val)
+        assert result.clamps > 0
+        assert focal.clamp_count() == before
 
     def test_float32_drift_from_float64_oracle(self, corpora):
         """Float32 passes stay close to training run wholly in float64.
@@ -288,7 +293,7 @@ class TestMatchesAllocatingLoop:
         corpus, _ = corpora
         params = TrainParams(learning_rate=5.0, epochs=200, seed=5, loss="focal", gamma=2.0)
         result = train(corpus, params)
-        weights, _, _, final_loss = oracles.train(corpus, params)
+        weights, _, _, final_loss, _ = oracles.train(corpus, params)
         scale = np.abs(weights).max()
         assert np.abs(result.model.weights - weights).max() <= 1e-5 * scale
         frames = np.vstack([track.frames for track, _ in corpus])
@@ -522,7 +527,7 @@ class TestPredictSegments:
 
 class TestPredictedSegments:
     def test_validation(self):
-        seq = TimedLabelSequence.build("t", [(Interval(0, 1), parse_chord_label("C:maj"))])
+        seq = build_sequence("t", [(Interval(0, 1), parse_chord_label("C:maj"))])
         with pytest.raises(ValueError):
             PredictedSegments(seq, (0.5, 0.6))
         with pytest.raises(ValueError):
