@@ -1,7 +1,7 @@
 """Label-preserving augmentation for chroma tracks.
 
-Two channels: pitch shifting (rotate the chroma axis and transpose the
-labels by the same number of semitones, timing untouched) and additive
+Two channels: pitch shifting (rotate the chroma axis and move each
+frame's model output to its root plus the same semitones) and additive
 Gaussian feature noise.  Both are deterministic for a given seed; when
 many tracks are augmented in one run, each track gets its own RNG stream
 from :func:`derive_seed`, so results do not depend on processing order.
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import TimedLabelSequence
-from .chords import transpose
-from .student import FeatureTrack
+from .student import _SHIFTED, FeatureTrack
 
 __all__ = [
     "AugmentSpec",
@@ -60,22 +58,18 @@ def derive_seed(seed: int, key: str) -> int:
 
 def pitch_shift(
     track: FeatureTrack,
-    labels: TimedLabelSequence,
+    outputs: np.ndarray,
     semitones: int,
-) -> tuple[FeatureTrack, TimedLabelSequence]:
-    """Shift features and labels by the same number of semitones.
+) -> tuple[FeatureTrack, np.ndarray]:
+    """Shift features and model outputs by the same number of semitones.
 
     The chroma axis rotates (energy at pitch class p moves to p + k) and
-    every chord root transposes by k; interval timing is untouched.
-    Shifting by +12 is the identity, and shifting by -k undoes +k
-    exactly since rotation and transposition are both lossless.
+    every output moves to its class at root + k; N stays N.  Shifting by
+    +12 is the identity, and shifting by -k undoes +k exactly since
+    rotation and the output table are both lossless.
     """
     rotated = np.roll(track.frames, semitones, axis=1)
-    shifted = TimedLabelSequence(
-        labels.track_id,
-        tuple((iv, transpose(lab, semitones)) for iv, lab in labels.segments),
-    )
-    return FeatureTrack(track.track_id, rotated, track.frame_rate), shifted
+    return FeatureTrack(track.track_id, rotated, track.frame_rate), _SHIFTED[semitones % 12][outputs]
 
 
 def add_noise(track: FeatureTrack, sigma: float, seed: int) -> FeatureTrack:

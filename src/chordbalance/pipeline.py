@@ -7,11 +7,12 @@ the excerpts (pitch shift plus optional feature noise), and train a
 fresh student on labeled-plus-selected data.  Every iteration including
 the baseline is evaluated on the held-out test corpus.
 
-The pool's pseudolabels stay frames: per track, the teacher's output
-runs and each frame's posterior of its output.  Segments are built only
-where they are read: the rare-class runs that selection takes seeds
-from, and the runs inside each selected excerpt.  A round's pool state
-ends before its student trains.
+The pool's pseudolabels stay frames from teacher to student: the
+teacher's output runs and each frame's posterior of its output.  An
+excerpt is a frame slice, trained on its frames' shifted outputs.
+Segments are built only where they are read: the rare-class runs that
+selection takes seeds from, and the runs inside each selected excerpt.
+A round's pool state ends before its student trains.
 
 The labeled corpus is split into train/validation exactly once per run
 (validation drives early stopping) and the split is recorded in the run
@@ -32,7 +33,6 @@ import numpy as np
 
 from . import student
 from ._config import JsonConfig, load_config, read_json
-from .annotations import Interval, TimedLabelSequence
 from .augment import AugmentSpec, add_noise, derive_seed, draw_semitones, pitch_shift
 from .chords import map_to_class
 from .metrics import MetricsReport, TrackPair, _write_csv, compute_report
@@ -186,7 +186,7 @@ def _select_from_pool(
         edges, outputs = student.frame_runs(frame_outputs)
         runs[tid] = _Runs(edges, outputs, emitted)
         seeds.append(student.run_segments(tid, track.frame_rate, edges, outputs, emitted,
-                                          np.flatnonzero(rare[outputs]).tolist()))
+                                          np.flatnonzero(rare[outputs]).tolist(), 0, len(track)))
     durations = {tid: track.duration for tid, track in pool.items()}
     return runs, *select_balanced_subset(seeds, durations, selection)
 
@@ -197,13 +197,12 @@ def _augmented_excerpts(
     pool: Mapping[str, FeatureTrack],
     runs: Mapping[str, _Runs],
     dataset: ExcerptDataset,
-) -> tuple[list[tuple[FeatureTrack, TimedLabelSequence]], list[student.PredictedSegments]]:
-    """Cut each selected excerpt with its pseudolabels, then pitch-shift and noise it.
+) -> tuple[list[tuple[FeatureTrack, np.ndarray]], list[student.PredictedSegments]]:
+    """Cut each selected excerpt with its frame pseudolabels, then pitch-shift and noise it.
 
-    An excerpt spans frames ``i0:i1`` of its pool track, is named
-    ``tid@i0-i1``, and its segment times start at 0.  Each run that
-    overlaps the excerpt becomes a segment clipped to it, with the
-    confidence of the whole run.
+    An excerpt spans frames ``i0:i1`` of its pool track and is named
+    ``tid@i0-i1``.  Its targets are the shifted output of each frame,
+    and its pseudolabels the runs it overlaps, cut to it as segments.
     """
     corpus = []
     pseudolabels = []
@@ -211,35 +210,22 @@ def _augmented_excerpts(
         track = pool[tid]
         edges, outputs, emitted = runs[tid]
         fps = track.frame_rate
-        starts = edges[:-1] / fps
-        ends = edges[1:] / fps
         for excerpt in excerpts:
             i0 = int(round(excerpt.start * fps))
             i1 = int(round(excerpt.end * fps))
             eid = f"{tid}@{i0}-{i1}"
-            t0 = i0 / fps
-            t1 = min(i1, len(track)) / fps
-            segments = []
-            confidences = []
-            first = int(np.searchsorted(ends, t0, side="right"))
-            last = int(np.searchsorted(starts, t1, side="left"))
-            for i in range(first, last):
-                a, b = int(edges[i]), int(edges[i + 1])
-                lo = max(a / fps, t0)
-                hi = min(b / fps, t1)
-                if hi > lo:
-                    segments.append((Interval(lo - t0, hi - t0), student._OUTPUT_LABELS[outputs[i]]))
-                    confidences.append(student.run_confidence(emitted, a, b))
+            first = int(np.searchsorted(edges[1:], i0, side="right"))  # the first run to end after frame i0
+            last = int(np.searchsorted(edges[:-1], i1))  # the first run to start at or after frame i1
             key = f"iter{k}:{eid}"
             shift_rng = np.random.default_rng(derive_seed(augment.seed, f"shift:{key}"))
-            aug_track, aug_labels = pitch_shift(FeatureTrack(eid, track.frames[i0:i1], fps),
-                                                TimedLabelSequence(eid, tuple(segments)),
-                                                draw_semitones(shift_rng, augment.semitone_range))
+            aug_track, shifted = pitch_shift(FeatureTrack(eid, track.frames[i0:i1], fps), outputs[first:last],
+                                             draw_semitones(shift_rng, augment.semitone_range))
             if augment.noise_sigma > 0:
                 aug_track = add_noise(aug_track, augment.noise_sigma,
                                       derive_seed(augment.seed, f"noise:{key}"))
-            corpus.append((aug_track, aug_labels))
-            pseudolabels.append(student.PredictedSegments(aug_labels, tuple(confidences)))
+            corpus.append((aug_track, np.repeat(shifted, np.diff(np.clip(edges[first:last + 1], i0, i1)))))
+            pseudolabels.append(student.run_segments(eid, fps, edges[first:last + 1], shifted, emitted,
+                                                     range(last - first), i0, i1))
     return corpus, pseudolabels
 
 
@@ -250,8 +236,8 @@ def _pool_round(
     config: ExperimentConfig,
     selection: SelectionConfig,
     out: Path,
-) -> tuple[list[tuple[FeatureTrack, TimedLabelSequence]], SelectionReport]:
-    """Round ``k``'s augmented excerpts of the pool and its selection report.
+) -> tuple[list[tuple[FeatureTrack, np.ndarray]], SelectionReport]:
+    """Round ``k``'s augmented excerpts of the pool, with their targets, and its selection report.
 
     Writes ``selection_<k>.jsonl``.  The round's frame pseudolabels and
     selection end with this call, before the student trains.
@@ -278,8 +264,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> list[Ite
     split_rng = np.random.default_rng(derive_seed(config.seed, "split"))
     order = split_rng.permutation(len(labeled))
     n_train = max(1, int(round(config.split_fraction * len(labeled))))
-    train_split = [labeled[i] for i in order[:n_train]]
-    val_split = [labeled[i] for i in order[n_train:]]
+    targets = [(track, student.frame_targets(track, labels)) for track, labels in labeled]
+    train_split = [targets[i] for i in order[:n_train]]
+    val_split = [targets[i] for i in order[n_train:]]
     selection = replace(config._selection,
                         labeled_total=sum(track.duration for track, _ in train_split))
     window = config.smoothing_window

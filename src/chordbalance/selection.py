@@ -156,6 +156,9 @@ def select_balanced_subset(
         tid = ps.sequence.track_id
         if tid not in track_durations:
             raise ValueError(f"no known duration for track {tid!r}")
+        if ps.sequence.end > track_durations[tid]:
+            raise ValueError(f"track {tid!r}: a segment ends at {ps.sequence.end} s, past its duration "
+                             f"{track_durations[tid]} s")
         for (iv, lab), conf in zip(ps.sequence.segments, ps.confidences):
             cls = map_to_class(lab)
             pool[cls] = pool.get(cls, 0.0) + iv.duration

@@ -26,7 +26,8 @@ The model's outputs are one fixed table, ``MODEL_CLASSES``: every
 scoreable chord class at every root, rendered as a chord label ("C:maj"
 ... "B:hdim7"), then "N", because a linear model on raw chroma cannot be
 root-invariant.  Mapping any output's label through the vocabulary
-reduction recovers the plain chord class.
+reduction recovers the plain chord class.  Training takes one output
+per frame, and a pitch shift maps outputs by one table, ``_SHIFTED``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .chords import (
     REPRESENTATIVE_QUALITY,
     map_to_class,
     parse_chord_label,
+    transpose,
 )
 
 __all__ = [
@@ -69,7 +71,6 @@ __all__ = [
     "init_model",
     "load_model",
     "predict_segments",
-    "run_confidence",
     "run_segments",
     "save_model",
     "train",
@@ -271,6 +272,10 @@ def _model_class_of(label) -> int:
     return _OUTPUT_OF.get((map_to_class(label), label.root), _N_OUTPUT)
 
 
+# _SHIFTED[k, i]: the output of output i's label transposed by k semitones.
+_SHIFTED = np.array([[_model_class_of(transpose(label, k)) for label in _OUTPUT_LABELS] for k in range(12)])
+
+
 def frame_targets(track: FeatureTrack, labels: TimedLabelSequence) -> np.ndarray:
     """Model output index per frame; uncovered frames fall to N.
 
@@ -293,17 +298,19 @@ def _class_weight_vector(weights: dict[str, float] | None) -> np.ndarray | None:
 
 
 def train(
-    corpus: Sequence[tuple[FeatureTrack, TimedLabelSequence]],
+    corpus: Sequence[tuple[FeatureTrack, np.ndarray]],
     params: TrainParams,
-    validation: Sequence[tuple[FeatureTrack, TimedLabelSequence]] | None = None,
+    validation: Sequence[tuple[FeatureTrack, np.ndarray]] | None = None,
 ) -> TrainResult:
     """Full-batch gradient descent on the mean per-frame loss.
 
-    With ``params.patience`` set and a validation corpus given, training
-    stops once the validation loss has not improved for that many epochs
-    and the best-validation weights are restored.  Zero epochs return
-    the freshly initialized model unchanged.  Each pass runs in float32;
-    its weight step sums the blocks' float32 shares into float64.
+    Each track comes with its targets, the ``MODEL_CLASSES`` index of
+    each frame.  With ``params.patience`` set and a validation corpus
+    given, training stops once the validation loss has not improved for
+    that many epochs and the best-validation weights are restored.  Zero
+    epochs return the freshly initialized model unchanged.  Each pass
+    runs in float32; its weight step sums the blocks' float32 shares
+    into float64.
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -313,7 +320,12 @@ def train(
 
     def design(tracks):
         """Inputs as (features, frames) with a bias row, targets and per-frame weights."""
-        y = np.concatenate([frame_targets(track, labels) for track, labels in tracks])
+        for track, targets in tracks:
+            if len(targets) != len(track):
+                raise ValueError(f"track {track.track_id!r} has {len(targets)} targets for {len(track)} frames")
+        y = np.concatenate([targets for _, targets in tracks])
+        if y.size and not 0 <= y.min() <= y.max() < len(MODEL_CLASSES):
+            raise ValueError(f"targets must be output indices in [0, {len(MODEL_CLASSES)})")
         xT = np.ones((N_CHROMA + 1, len(y)), _PASS_DTYPE)
         np.concatenate([track.frames.T for track, _ in tracks], axis=1, out=xT[:N_CHROMA])
         return xT, y, wvec[y] if wvec is not None else None
@@ -421,11 +433,6 @@ def frame_runs(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges, outputs[edges[:-1]]
 
 
-def run_confidence(emitted: np.ndarray, a: int, b: int) -> float:
-    """Confidence of the run of frames ``a:b``: the mean posterior of its output."""
-    return min(max(float(emitted[a:b].sum()) / (b - a), 0.0), 1.0)
-
-
 def run_segments(
     track_id: str,
     frame_rate: float,
@@ -433,14 +440,21 @@ def run_segments(
     outputs: np.ndarray,
     emitted: np.ndarray,
     runs: Iterable[int],
+    i0: int,
+    i1: int,
 ) -> PredictedSegments:
-    """The runs ``runs`` of :func:`frame_runs`, in order, as segments with their confidences."""
+    """The runs ``runs`` of :func:`frame_runs`, in order, as segments of frames ``i0:i1``.
+
+    Each run is cut to those frames, with times from frame ``i0``, and
+    keeps the whole run's confidence: the mean posterior of its output.
+    """
     segments = []
     confidences = []
     for i in runs:
         a, b = int(edges[i]), int(edges[i + 1])
-        segments.append((Interval(a / frame_rate, b / frame_rate), _OUTPUT_LABELS[outputs[i]]))
-        confidences.append(run_confidence(emitted, a, b))
+        segments.append((Interval(max(a, i0) / frame_rate - i0 / frame_rate,
+                                  min(b, i1) / frame_rate - i0 / frame_rate), _OUTPUT_LABELS[outputs[i]]))
+        confidences.append(min(max(float(emitted[a:b].sum()) / (b - a), 0.0), 1.0))
     return PredictedSegments(TimedLabelSequence(track_id, tuple(segments)), tuple(confidences))
 
 
@@ -457,7 +471,8 @@ def predict_segments(
     """
     frame_outputs, emitted = decide_frames(model, track, smoothing_window)
     edges, outputs = frame_runs(frame_outputs)
-    return run_segments(track.track_id, track.frame_rate, edges, outputs, emitted, range(len(outputs)))
+    return run_segments(track.track_id, track.frame_rate, edges, outputs, emitted, range(len(outputs)),
+                        0, len(track))
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:

@@ -89,6 +89,11 @@ def reference_duration(ref):
     return sum(iv.duration for iv, lab in ref.segments if map_to_class(lab) != "X")
 
 
+def targets(corpus):
+    """The (track, frame targets) pairs that ``train`` takes, from (track, labels) pairs."""
+    return [(track, frame_targets(track, labels)) for track, labels in corpus]
+
+
 def frame_accuracy(model, corpus):
     """Fraction of frames whose raw argmax matches the aligned target."""
     hits = 0

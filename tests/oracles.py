@@ -15,14 +15,16 @@ corpus oracle draws each chord's class with ``Generator.choice`` and
 renders each segment as a fresh tiled template plus a noise block, and
 the corpus CSV oracle formats every value of a track with one ``%`` call.
 The pool-round oracle builds every segment of every pool track with
-``predict_segments``, selects from all of them and cuts each excerpt by
-clipping every segment of its track.
+``predict_segments``, selects from all of them, cuts each excerpt by
+clipping every segment of its track in time and transposes each cut
+label with ``chords.transpose``.
 Label-to-class reduction, the per-frame objective ``focal.frame_losses``
 (which :func:`loss_and_logit_grad` takes the batch mean of), the
 templates, the per-track seed, the segment decoder, the selection and
-the augmentation are shared with the library on purpose; the duration
-arithmetic, the frame assignment, the training loop, the order of the
-corpus draws and which segments a pool round builds are what gets
+the augmentation's noise and seeds are shared with the library on
+purpose; the duration arithmetic, the frame assignment, the training
+loop, the order of the corpus draws, which segments a pool round builds
+and how an excerpt's pseudolabels are cut and shifted are what gets
 verified here.
 """
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from chordbalance.annotations import Interval, TimedLabelSequence
-from chordbalance.augment import add_noise, derive_seed, draw_semitones, pitch_shift
+from chordbalance.augment import add_noise, derive_seed, draw_semitones
 from chordbalance.chords import (
     NO_CHORD,
     PITCH_NAMES,
@@ -39,6 +41,7 @@ from chordbalance.chords import (
     ChordLabel,
     map_to_class,
     parse_chord_label,
+    transpose,
 )
 from chordbalance.focal import frame_losses
 from chordbalance.selection import select_balanced_subset
@@ -234,7 +237,8 @@ def _softmax(z):
 def train(corpus, params, validation=None, dtype=np.float64):
     """(weights, train losses, validation losses, final loss, clamps) of the allocating loop.
 
-    Full-batch gradient descent with the same init, objective, early
+    ``corpus`` and ``validation`` hold (track, frame targets) pairs, as
+    ``student.train`` takes them.  Full-batch gradient descent with the same init, objective, early
     stopping and best-weight restore as ``student.train``.  Every pass
     runs in ``dtype``: inputs, frame weights and a copy of the weights
     are cast to it.  The weight step sums the gradient products of
@@ -247,7 +251,7 @@ def train(corpus, params, validation=None, dtype=np.float64):
     def design(tracks):
         features = np.vstack([track.frames for track, _ in tracks])
         x = np.hstack([features, np.ones((features.shape[0], 1))]).astype(dtype)
-        y = np.concatenate([frame_targets(track, labels) for track, labels in tracks])
+        y = np.concatenate([targets for _, targets in tracks])
         return x, y, wvec[y].astype(dtype) if wvec is not None else None
 
     clamps = 0
@@ -292,15 +296,20 @@ def train(corpus, params, validation=None, dtype=np.float64):
     return w, train_losses, val_losses if use_val else None, final_loss, clamps
 
 
-def pool_round(k, model, pool, window, selection, augment):
-    """(dataset, report, excerpts, pseudolabels) of self-training round ``k`` over ``pool``.
+def pitch_shift(track, labels, semitones):
+    """Rotate the chroma and transpose every segment's label by ``semitones``, timing untouched."""
+    rotated = np.roll(track.frames, semitones, axis=1)
+    shifted = TimedLabelSequence(labels.track_id,
+                                 tuple((iv, transpose(lab, semitones)) for iv, lab in labels.segments))
+    return FeatureTrack(track.track_id, rotated, track.frame_rate), shifted
 
-    Every pool track becomes segments, selection sees all of them, and
-    each excerpt clips every segment of its track to its span.
+
+def cut_excerpts(k, augment, pool, pseudo, dataset):
+    """(excerpts, pseudolabels) of ``dataset``, each excerpt clipping every segment of ``pseudo``.
+
+    ``excerpts`` holds (track, labels) pairs: each excerpt's features,
+    pitch-shifted and noised, and its cut segments, transposed.
     """
-    pseudo = {tid: predict_segments(model, track, window) for tid, track in pool.items()}
-    durations = {tid: track.duration for tid, track in pool.items()}
-    dataset, report = select_balanced_subset(list(pseudo.values()), durations, selection)
     corpus = []
     pseudolabels = []
     for tid, excerpts in dataset.intervals.items():
@@ -331,4 +340,16 @@ def pool_round(k, model, pool, window, selection, augment):
                                       derive_seed(augment.seed, f"noise:{key}"))
             corpus.append((aug_track, aug_labels))
             pseudolabels.append(PredictedSegments(aug_labels, tuple(confidences)))
-    return dataset, report, corpus, pseudolabels
+    return corpus, pseudolabels
+
+
+def pool_round(k, model, pool, window, selection, augment):
+    """(dataset, report, excerpts, pseudolabels) of self-training round ``k`` over ``pool``.
+
+    Every pool track becomes segments, selection sees all of them, and
+    :func:`cut_excerpts` cuts the excerpts.
+    """
+    pseudo = {tid: predict_segments(model, track, window) for tid, track in pool.items()}
+    durations = {tid: track.duration for tid, track in pool.items()}
+    dataset, report = select_balanced_subset(list(pseudo.values()), durations, selection)
+    return dataset, report, *cut_excerpts(k, augment, pool, pseudo, dataset)

@@ -22,7 +22,7 @@ from chordbalance.selection import (
     distribution_of_selection,
     select_balanced_subset,
 )
-from chordbalance.student import PredictedSegments
+from chordbalance.student import PredictedSegments, frame_targets
 from chordbalance.synth import CorpusSpec, generate_corpus, save_corpus
 
 from helpers import build_sequence, grid_sequence, pseudo_pool, random_label, random_pair
@@ -348,15 +348,16 @@ def test_round_trips_are_exact(capsys, tmp_path):
         once = label_to_string(parse_chord_label(text))
         assert label_to_string(parse_chord_label(once)) == once
 
-    # pitch shifting by k then -k restores features and labels exactly
+    # pitch shifting by k then -k restores features and frame outputs exactly
     spec = CorpusSpec(n_tracks=1, track_length_range=(20.0, 25.0),
                       noise_sigma=0.2, seed=5, track_prefix="rt")
     ((track, labels_seq),) = generate_corpus(spec)
+    outputs = frame_targets(track, labels_seq)
     for k in range(-11, 12):
-        shifted_track, shifted_labels = pitch_shift(track, labels_seq, k)
-        back_track, back_labels = pitch_shift(shifted_track, shifted_labels, -k)
+        shifted_track, shifted_outputs = pitch_shift(track, outputs, k)
+        back_track, back_outputs = pitch_shift(shifted_track, shifted_outputs, -k)
         assert np.array_equal(back_track.frames, track.frames)
-        assert back_labels == labels_seq
+        assert np.array_equal(back_outputs, outputs)
 
     announce(capsys, "round-trips", True,
              "(25 annotation files, 306 labels, 23 pitch shifts all fixed points)")

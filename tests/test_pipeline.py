@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from chordbalance import pipeline
+from chordbalance import pipeline, student
+from chordbalance.annotations import Interval
 from chordbalance.augment import AugmentSpec
 from chordbalance.pipeline import (
     ExperimentConfig,
@@ -16,7 +17,7 @@ from chordbalance.pipeline import (
     run_experiment,
     write_comparison_csvs,
 )
-from chordbalance.selection import SelectionConfig, read_pseudolabels_jsonl
+from chordbalance.selection import ExcerptDataset, SelectionConfig, read_pseudolabels_jsonl
 from chordbalance.student import MODEL_CLASSES, N_CHROMA, ClassifierModel
 from chordbalance.synth import CorpusSpec, generate_corpus, load_corpus, save_corpus
 
@@ -302,15 +303,20 @@ class TestPoolRound:
         return {track.track_id: track for track, _ in generate_corpus(spec)}
 
     @staticmethod
-    def round_of_both(k, model, pool, window, selection, augment):
+    def same_excerpts(got, want):
+        """Excerpt features and frame targets against the oracle's cut, transposed segments."""
+        assert [(t.track_id, t.frame_rate, t.frames.tobytes(), y.tolist()) for t, y in got[0]] == \
+            [(t.track_id, t.frame_rate, t.frames.tobytes(), oracles.frame_targets(t, labels).tolist())
+             for t, labels in want[0]]
+        assert got[1] == want[1]
+
+    def round_of_both(self, k, model, pool, window, selection, augment):
         runs, dataset, report = pipeline._select_from_pool(model, pool, window, selection)
-        excerpts, pseudolabels = pipeline._augmented_excerpts(k, augment, pool, runs, dataset)
+        got = pipeline._augmented_excerpts(k, augment, pool, runs, dataset)
         want = oracles.pool_round(k, model, pool, window, selection, augment)
         assert dataset == want[0]
         assert report == want[1]
-        assert [(t.track_id, t.frame_rate, t.frames.tobytes(), labels) for t, labels in excerpts] == \
-            [(t.track_id, t.frame_rate, t.frames.tobytes(), labels) for t, labels in want[2]]
-        assert pseudolabels == want[3]
+        self.same_excerpts(got, want[2:])
         return runs, dataset
 
     def test_matches_segments_of_the_whole_pool(self):
@@ -331,6 +337,25 @@ class TestPoolRound:
                         cuts_inside_runs += (i0 not in edges) + (i1 not in edges)
                         ends_at_track_end += i1 == len(pool[tid])
         assert cuts_inside_runs and ends_at_track_end
+
+    def test_cuts_at_every_frame_offset(self):
+        # every excerpt i0:i1 of each track, i1 at the track end included
+        augment = AugmentSpec((-5, 6), 0.1, 3)
+        pool = {tid: track for tid, track in self.pool(5).items() if len(track) <= 40}
+        assert len(pool) >= 2
+        model = ClassifierModel(np.random.default_rng(5).normal(0.0, 2.0, (len(MODEL_CLASSES), N_CHROMA + 1)))
+        runs, pseudo = {}, {}
+        for tid, track in pool.items():
+            outputs, emitted = student.decide_frames(model, track, 3)
+            runs[tid] = pipeline._Runs(*student.frame_runs(outputs), emitted)
+            pseudo[tid] = student.predict_segments(model, track, 3)
+        dataset = ExcerptDataset({tid: tuple(Interval(i0 / track.frame_rate, i1 / track.frame_rate)
+                                             for i0 in range(len(track))
+                                             for i1 in range(i0 + 1, len(track) + 1))
+                                  for tid, track in pool.items()})
+        got = pipeline._augmented_excerpts(2, augment, pool, runs, dataset)
+        assert len(got[0]) == sum(n * (n + 1) // 2 for n in map(len, pool.values()))
+        self.same_excerpts(got, oracles.cut_excerpts(2, augment, pool, pseudo, dataset))
 
     def test_teacher_without_rare_outputs_selects_nothing(self):
         weights = np.zeros((len(MODEL_CLASSES), N_CHROMA + 1))

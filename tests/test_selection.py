@@ -207,6 +207,15 @@ class TestSelectionFlow:
         with pytest.raises(ValueError, match="duration"):
             select_balanced_subset(pool, {}, config)
 
+    def test_segment_past_track_end_raises(self):
+        # a dim segment after the track's end would credit dim time to an excerpt that holds none
+        pool = [labelled("t", [(10.0, 12.0, "C:dim")], [0.9])]
+        config = SelectionConfig(min_length=8.0, labeled_total=8.0)
+        with pytest.raises(ValueError, match=r"^track 't': a segment ends at 12.0 s, past its duration 5.0 s$"):
+            select_balanced_subset(pool, {"t": 5.0}, config)
+        dataset, _ = select_balanced_subset(pool, {"t": 12.0}, config)
+        assert dataset.intervals == {"t": (Interval(4.0, 12.0),)}
+
 
 class TestInvariants:
     def make_pool(self, seed):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import median_filter
 
 from chordbalance import focal, student
-from chordbalance.chords import CHORD_CLASSES, map_to_class, parse_chord_label
+from chordbalance.chords import CHORD_CLASSES, PITCH_NAMES, map_to_class, parse_chord_label, transpose
 from chordbalance.annotations import Interval, TimedLabelSequence
 from chordbalance.student import (
     MODEL_CLASSES,
@@ -33,7 +33,7 @@ from chordbalance.student import (
 from chordbalance.synth import CorpusSpec, generate_corpus
 
 import oracles
-from helpers import build_sequence, frame_accuracy
+from helpers import build_sequence, frame_accuracy, targets
 
 
 def clean_corpus(n_tracks=6, seed=3):
@@ -99,6 +99,20 @@ class TestModelClasses:
             assert label == parse_chord_label(name) and str(label) == name
             assert student._model_class_of(label) == i
 
+    def test_shift_table(self):
+        shifted = student._SHIFTED
+        assert shifted.shape == (12, len(MODEL_CLASSES))
+        n = MODEL_CLASSES.index("N")
+        for k in range(12):
+            for i, label in enumerate(student._OUTPUT_LABELS):
+                assert shifted[k][i] == student._model_class_of(transpose(label, k))
+                if i != n:
+                    root, quality = MODEL_CLASSES[i].split(":")
+                    root = PITCH_NAMES[(PITCH_NAMES.index(root) + k) % 12]
+                    assert MODEL_CLASSES[shifted[k][i]] == f"{root}:{quality}"
+            assert shifted[k][n] == n
+            np.testing.assert_array_equal(shifted[-k % 12][shifted[k]], np.arange(len(MODEL_CLASSES)))
+
 
 class TestClassifierModel:
     def test_validation(self):
@@ -126,8 +140,7 @@ class TestFrameTargets:
         labels = build_sequence(
             "t", [(Interval(0.0, 0.5), parse_chord_label("C:maj"))]
         )
-        targets = frame_targets(track, labels)
-        np.testing.assert_array_equal(targets, [0, 0, 0, 0, 0, 108, 108, 108, 108, 108])
+        np.testing.assert_array_equal(frame_targets(track, labels), [0, 0, 0, 0, 0, 108, 108, 108, 108, 108])
 
     def test_unknown_reference_folds_to_n(self):
         track = FeatureTrack("t", np.zeros((4, 12)), frame_rate=10.0)
@@ -176,7 +189,7 @@ class TestFrameTargets:
 class TestTrain:
     def test_noiseless_corpus_trains_to_high_accuracy(self):
         corpus = clean_corpus()
-        result = train(corpus, TrainParams(learning_rate=5.0, epochs=200, seed=0))
+        result = train(targets(corpus), TrainParams(learning_rate=5.0, epochs=200, seed=0))
         assert frame_accuracy(result.model, corpus) >= 0.99
         assert result.epochs_run == 200
         assert len(result.train_losses) == 200
@@ -185,33 +198,44 @@ class TestTrain:
     def test_zero_epochs_returns_init(self):
         corpus = clean_corpus(n_tracks=2)
         params = TrainParams(epochs=0, seed=7)
-        result = train(corpus, params)
+        result = train(targets(corpus), params)
         np.testing.assert_array_equal(result.model.weights, init_model(params).weights)
         assert result.epochs_run == 0
 
     def test_same_seed_is_bit_identical(self):
         corpus = clean_corpus(n_tracks=3)
         params = TrainParams(learning_rate=2.0, epochs=40, seed=21)
-        a = train(corpus, params)
-        b = train(corpus, params)
+        a = train(targets(corpus), params)
+        b = train(targets(corpus), params)
         np.testing.assert_array_equal(a.model.weights, b.model.weights)
         assert a.train_losses == b.train_losses
 
     def test_focal_gamma_zero_matches_cross_entropy(self):
         corpus = noisy_corpus(n_tracks=3)
-        ce = train(corpus, TrainParams(learning_rate=2.0, epochs=30, seed=5, loss="cross_entropy"))
-        fl = train(corpus, TrainParams(learning_rate=2.0, epochs=30, seed=5, loss="focal", gamma=0.0))
+        ce = train(targets(corpus), TrainParams(learning_rate=2.0, epochs=30, seed=5, loss="cross_entropy"))
+        fl = train(targets(corpus), TrainParams(learning_rate=2.0, epochs=30, seed=5, loss="focal", gamma=0.0))
         np.testing.assert_array_equal(ce.model.weights, fl.model.weights)
         assert ce.train_losses == fl.train_losses
 
     def test_training_reduces_loss(self):
         corpus = noisy_corpus(n_tracks=4)
-        result = train(corpus, TrainParams(learning_rate=2.0, epochs=60, seed=2, loss="focal", gamma=2.0))
+        params = TrainParams(learning_rate=2.0, epochs=60, seed=2, loss="focal", gamma=2.0)
+        result = train(targets(corpus), params)
         assert result.final_loss < result.train_losses[0]
 
     def test_empty_corpus_raises(self):
         with pytest.raises(ValueError):
             train([], TrainParams())
+
+    def test_rejects_targets_that_do_not_fit_the_frames(self):
+        corpus = targets(clean_corpus(n_tracks=2))
+        (track, y), other = corpus
+        message = f"track {track.track_id!r} has {len(y) - 1} targets for {len(y)} frames"
+        with pytest.raises(ValueError, match=message):
+            train([(track, y[:-1]), other], TrainParams(epochs=1))
+        for bad in (len(MODEL_CLASSES), -1):
+            with pytest.raises(ValueError, match=r"output indices in \[0, 109\)"):
+                train([(track, np.where(np.arange(len(y)) == 3, bad, y)), other], TrainParams(epochs=1))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -240,7 +264,7 @@ class TestMatchesAllocatingLoop:
         # set longer than the training set
         assert n > 2 * student._BLOCK_ROWS and n % student._BLOCK_ROWS
         assert sum(len(track) for track, _ in val) > n
-        return corpus, val
+        return targets(corpus), targets(val)
 
     @pytest.mark.parametrize(
         "params,with_val",
@@ -309,10 +333,11 @@ import numpy as np  # BLAS starts with the parent's thread count
 sys.path[:0] = sys.argv[1:3]
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from chordbalance.student import TrainParams, _workers, train
+from helpers import targets
 from test_student import noisy_corpus
 assert _workers(10) == 1
 params = TrainParams(learning_rate=2.0, epochs=20, seed=5, loss="focal")
-sys.stdout.write(train(noisy_corpus(n_tracks=14, sigma=0.5), params).model.weights.tobytes().hex())
+sys.stdout.write(train(targets(noisy_corpus(n_tracks=14, sigma=0.5)), params).model.weights.tobytes().hex())
 """
 
 
@@ -326,7 +351,7 @@ def test_weights_do_not_depend_on_worker_count():
         capture_output=True, text=True, check=True, timeout=300,
     )
     params = TrainParams(learning_rate=2.0, epochs=20, seed=5, loss="focal")
-    weights = train(noisy_corpus(n_tracks=14, sigma=0.5), params).model.weights
+    weights = train(targets(noisy_corpus(n_tracks=14, sigma=0.5)), params).model.weights
     assert child.stdout == weights.tobytes().hex()
 
 
@@ -334,13 +359,13 @@ def test_borrowed_buffers_under_contention(monkeypatch):
     """A worker per block (9 blocks), switching threads every microsecond: the bytes stay the same."""
     corpus = noisy_corpus(n_tracks=50, seed=11)
     params = TrainParams(learning_rate=2.0, epochs=3, seed=5, loss="focal")
-    expected = train(corpus, params).model.weights
+    expected = train(targets(corpus), params).model.weights
     monkeypatch.setattr(student, "_workers", lambda blocks: blocks)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=lambda: results.append(train(corpus, params)), daemon=True)
+        runner = threading.Thread(target=lambda: results.append(train(targets(corpus), params)), daemon=True)
         runner.start()
         runner.join(timeout=120)
     finally:
@@ -366,8 +391,8 @@ def test_training_scratch_grows_by_workers_not_blocks():
     the corpus would add another 436 B.  Each extra worker adds one
     buffer, whatever the corpus size.
     """
-    small = noisy_corpus(n_tracks=25, seed=11)
-    large = noisy_corpus(n_tracks=100, seed=11)
+    small = targets(noisy_corpus(n_tracks=25, seed=11))
+    large = targets(noisy_corpus(n_tracks=100, seed=11))
     frames = [sum(len(track) for track, _ in corpus) for corpus in (small, large)]
     blocks = [-(-n // student._BLOCK_ROWS) for n in frames]
     assert blocks[0] >= 4 and blocks[1] >= 16
@@ -382,16 +407,16 @@ class TestEarlyStopping:
     def test_requires_both_validation_and_patience(self):
         corpus = noisy_corpus(n_tracks=3)
         val = noisy_corpus(n_tracks=2, seed=10)
-        no_patience = train(corpus, TrainParams(epochs=10, seed=1), validation=val)
+        no_patience = train(targets(corpus), TrainParams(epochs=10, seed=1), validation=targets(val))
         assert no_patience.val_losses is None
-        no_val = train(corpus, TrainParams(epochs=10, seed=1, patience=3))
+        no_val = train(targets(corpus), TrainParams(epochs=10, seed=1, patience=3))
         assert no_val.val_losses is None
 
     def test_stops_and_restores_best_weights(self):
         corpus = noisy_corpus(n_tracks=2, sigma=0.5)
         val = noisy_corpus(n_tracks=2, seed=10, sigma=0.5)
         params = TrainParams(learning_rate=60.0, epochs=300, seed=1, patience=5)
-        result = train(corpus, params, validation=val)
+        result = train(targets(corpus), params, validation=targets(val))
         assert result.val_losses is not None
         assert result.epochs_run <= params.epochs
         best = int(np.argmin(result.val_losses)) + 1
@@ -445,7 +470,7 @@ class TestPredictSegments:
 
     def test_output_tiles_track_exactly(self):
         corpus = noisy_corpus(n_tracks=4)
-        model = train(corpus[:2], TrainParams(learning_rate=2.0, epochs=30, seed=3)).model
+        model = train(targets(corpus[:2]), TrainParams(learning_rate=2.0, epochs=30, seed=3)).model
         for track, _ in corpus:
             for window in (1, 5):
                 pred = predict_segments(model, track, smoothing_window=window)
@@ -457,7 +482,7 @@ class TestPredictSegments:
 
     def test_confidence_bounds(self):
         corpus = noisy_corpus(n_tracks=3)
-        model = train(corpus[:2], TrainParams(learning_rate=2.0, epochs=30, seed=3)).model
+        model = train(targets(corpus[:2]), TrainParams(learning_rate=2.0, epochs=30, seed=3)).model
         floor = 1.0 / len(model.classes)
         for track, _ in corpus:
             raw = predict_segments(model, track, smoothing_window=1)
@@ -468,7 +493,7 @@ class TestPredictSegments:
 
     def test_smoothing_never_beats_raw_segment_count(self):
         corpus = noisy_corpus(n_tracks=5)
-        model = train(corpus[:3], TrainParams(learning_rate=2.0, epochs=50, seed=9)).model
+        model = train(targets(corpus[:3]), TrainParams(learning_rate=2.0, epochs=50, seed=9)).model
         for track, _ in corpus:
             base = len(predict_segments(model, track, 1).sequence.segments)
             for window in (3, 5, 7, 9):
@@ -538,7 +563,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         corpus = clean_corpus(n_tracks=2)
         params = TrainParams(learning_rate=2.0, epochs=25, seed=6, loss="focal", gamma=1.0, patience=None)
-        trained = train(corpus, params).model
+        trained = train(targets(corpus), params).model
         path = tmp_path / "model.json"
         save_model(trained, path)
         loaded = load_model(path)
@@ -595,7 +620,7 @@ class TestSerialization:
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         corpus = noisy_corpus(n_tracks=2)
-        trained = train(corpus, TrainParams(learning_rate=2.0, epochs=20, seed=8)).model
+        trained = train(targets(corpus), TrainParams(learning_rate=2.0, epochs=20, seed=8)).model
         path = tmp_path / "model.json"
         save_model(trained, path)
         loaded = load_model(path)
