@@ -76,7 +76,8 @@ def add_noise(track: FeatureTrack, sigma: float, seed: int) -> FeatureTrack:
     """Add i.i.d. Gaussian noise to every feature value.
 
     Values are cut to [0, 1], the range of normalized chroma, after the
-    noise is added; sigma = 0 returns the identical features.
+    noise is added, in float64, and the result has the track's dtype;
+    sigma = 0 returns the identical features.
     """
     if not sigma >= 0:
         raise ValueError(f"noise sigma must be >= 0, got {sigma}")
@@ -84,7 +85,7 @@ def add_noise(track: FeatureTrack, sigma: float, seed: int) -> FeatureTrack:
         return FeatureTrack(track.track_id, track.frames.copy(), track.frame_rate)
     rng = np.random.default_rng(seed)
     noisy = np.clip(track.frames + rng.normal(0.0, sigma, track.frames.shape), 0.0, 1.0)
-    return FeatureTrack(track.track_id, noisy, track.frame_rate)
+    return FeatureTrack(track.track_id, noisy.astype(track.frames.dtype, copy=False), track.frame_rate)
 
 
 def draw_semitones(rng: np.random.Generator, semitone_range: tuple[int, int]) -> int:

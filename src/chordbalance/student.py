@@ -7,14 +7,16 @@ enough to rerun many times, which is what the surrounding experiment
 loop actually needs; the interesting behaviour lives in the data, not
 the classifier.
 
-Training passes (logits, softmax, loss and gradient of every frame) run
-in float32; the weights they update stay float64, and so do posteriors,
-predictions and saved models.  Every pass lays its logits out
-class-major, as (classes, frames), so each softmax max and sum runs
-over the classes as whole vectors of frames.  A training pass cuts the
-frames into blocks, and one worker thread runs all of a block's work,
-from its logits to its share of the weight gradient, in one of the
-pass's block buffers, one per worker.
+Every frame pass runs in float32: training (logits, softmax, loss and
+gradient of every frame) and posteriors, so pseudolabel confidences
+too.  The weights stay float64, in memory and in saved models, and each
+pass casts them once.  Loaded corpora hold float32 frames; a
+:class:`FeatureTrack` keeps float32 or float64 frames as given.  Every
+pass lays its logits out class-major, as (classes, frames), so each
+softmax max and sum runs over the classes as whole vectors of frames.
+A training pass cuts the frames into blocks, and one worker thread runs
+all of a block's work, from its logits to its share of the weight
+gradient, in one of the pass's block buffers, one per worker.
 
 Prediction makes one frame decision, :func:`decide_frames`: the argmax
 output of each frame, smoothed by a running median, and the posterior
@@ -81,20 +83,21 @@ _INIT_SCALE = 0.01
 # Frames per block of a training pass: a block of logits (109 x 2,048
 # floats, 0.9 MiB) stays in L2 cache through its softmax, loss and gradient.
 _BLOCK_ROWS = 2048
-# Every per-frame array of a training pass; the master weights stay float64.
+# Every per-frame array of a training or posterior pass; the master weights stay float64.
 _PASS_DTYPE = np.float32
 
 
 @dataclass
 class FeatureTrack:
-    """Chroma frames of one track at a fixed frame rate."""
+    """Chroma frames of one track at a fixed frame rate; float32 frames stay float32, others float64."""
 
     track_id: str
     frames: np.ndarray
     frame_rate: float = 10.0
 
     def __post_init__(self) -> None:
-        self.frames = np.asarray(self.frames, dtype=float)
+        frames = np.asarray(self.frames)
+        self.frames = frames if frames.dtype in (np.float32, np.float64) else frames.astype(float)
         if self.frames.ndim != 2 or self.frames.shape[1] != N_CHROMA:
             raise ValueError(f"frames must have shape (n, {N_CHROMA}), got {self.frames.shape}")
         if not np.isfinite(self.frames).all():
@@ -176,9 +179,10 @@ class ClassifierModel:
             raise ValueError("non-finite model weights")
 
     def posteriors(self, frames: np.ndarray) -> np.ndarray:
-        """(frames, classes) softmax rows, a view of the class-major array."""
-        z = self.weights[:, :N_CHROMA] @ np.asarray(frames, dtype=float).T
-        z += self.weights[:, N_CHROMA:]
+        """(frames, classes) softmax rows of a float32 pass, a view of the class-major array."""
+        w = self.weights.astype(_PASS_DTYPE)
+        z = w[:, :N_CHROMA] @ np.asarray(frames, dtype=_PASS_DTYPE).T
+        z += w[:, N_CHROMA:]
         return _class_softmax(z).T
 
 

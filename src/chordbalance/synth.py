@@ -224,7 +224,7 @@ _HALF_TOL = 1.2e-6
 
 def _csv_bytes(frames: np.ndarray) -> bytes:
     """The bytes ``np.savetxt(fmt="%.9f", delimiter=",")`` writes for ``frames``."""
-    magnitude = np.abs(frames)
+    magnitude = np.abs(frames, dtype=np.float64)  # float32 widens exactly, as it does for %
     if not magnitude.max(initial=0.0) < 9.999999999:
         # only here can a value print with more than one whole digit
         row = ",".join(["%.9f"] * frames.shape[1]) + "\n"
@@ -334,6 +334,10 @@ def _read_frames(path: Path) -> np.ndarray:
 def load_corpus(directory: str | Path) -> tuple[list[tuple[FeatureTrack, TimedLabelSequence]], dict]:
     """Load a corpus directory written by :func:`save_corpus`.
 
+    Frames are the values ``np.loadtxt`` reads, rounded to float32 one
+    track at a time; a value beyond float32's range raises ``ValueError``.
+    Saving a loaded corpus writes its float32 values.
+
     Track ids name files inside ``directory``, so each must be a plain,
     unique file name, as :func:`save_corpus` requires.
     """
@@ -356,7 +360,10 @@ def load_corpus(directory: str | Path) -> tuple[list[tuple[FeatureTrack, TimedLa
     for tid in tracks:
         csv_path = directory / f"{tid}.csv"
         try:
-            track = FeatureTrack(tid, _read_frames(csv_path), fps)
+            with np.errstate(over="raise"):
+                track = FeatureTrack(tid, _read_frames(csv_path).astype(np.float32), fps)
+        except FloatingPointError:
+            raise ValueError(f"{csv_path}: a value lies beyond float32's range") from None
         except ValueError as exc:
             raise ValueError(f"{csv_path}: {exc}") from None
         corpus.append((track, read_lab_file(directory / f"{tid}.lab", track_id=tid)))

@@ -123,6 +123,15 @@ class TestAddNoise:
         assert noisy.frames.min() >= 0.0
         assert noisy.frames.max() <= 1.0
 
+    def test_keeps_float32_frames(self):
+        """Float64 draws added to float32 frames round to float32 once, as training rounds them."""
+        frames = np.random.default_rng(11).uniform(0.0, 1.0, (50, 12)).astype(np.float32)
+        narrow = add_noise(FeatureTrack("t", frames), 0.2, seed=5)
+        wide = add_noise(FeatureTrack("t", frames.astype(np.float64)), 0.2, seed=5)
+        assert narrow.frames.dtype == np.float32 and wide.frames.dtype == np.float64
+        assert narrow.frames.tobytes() == wide.frames.astype(np.float32).tobytes()
+        assert add_noise(FeatureTrack("t", frames), 0.0, seed=5).frames.dtype == np.float32
+
     def test_rejects_negative_sigma(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError):

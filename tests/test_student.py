@@ -82,6 +82,16 @@ class TestFeatureTrack:
         with pytest.raises(ValueError):
             FeatureTrack("t", frames, frame_rate=rate)
 
+    @pytest.mark.parametrize("given,kept", [(np.float32, np.float32), (np.float64, np.float64),
+                                            (np.int64, np.float64), (np.float16, np.float64)])
+    def test_keeps_float32_and_float64_frames(self, given, kept):
+        frames = np.arange(24).reshape(2, 12).astype(given)
+        track = FeatureTrack("t", frames)
+        assert track.frames.dtype == kept
+        assert (track.frames is frames) == (given is kept)
+        np.testing.assert_array_equal(track.frames, np.arange(24).reshape(2, 12))
+        assert FeatureTrack("t", frames.tolist()).frames.dtype == np.float64
+
 
 class TestModelClasses:
     def test_default_list(self):
@@ -129,8 +139,8 @@ class TestClassifierModel:
     def test_posteriors_are_distributions(self):
         model = init_model(TrainParams(seed=4))
         probs = model.posteriors(np.random.default_rng(0).normal(0, 1, (20, 12)))
-        assert probs.shape == (20, 109)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert probs.shape == (20, 109) and probs.dtype == np.float32
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
         assert (probs > 0).all()
 
 
@@ -508,9 +518,11 @@ class TestPredictSegments:
         frames = np.vstack([rng.uniform(0.0, 1.0, 12) + rng.normal(0.0, 0.01, (length, 12)) for length in runs])
         track = FeatureTrack("t", frames, frame_rate=10.0)
 
+        # the reference runs in float32, as posteriors do
+        weights = model.weights.astype(np.float32)
         rows = []
-        for frame in frames:
-            z = model.weights[:, :12] @ frame + model.weights[:, 12]
+        for frame in frames.astype(np.float32):
+            z = weights[:, :12] @ frame + weights[:, 12]
             e = np.exp(z - z.max())
             rows.append(e / e.sum())
         probs = np.array(rows)
@@ -520,13 +532,13 @@ class TestPredictSegments:
         assert min(b - a for a, b in spans) == 1 and max(b - a for a, b in spans) >= 40
 
         posteriors = model.posteriors(frames)
-        assert posteriors.shape == (len(frames), 109)
-        np.testing.assert_allclose(posteriors.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert posteriors.shape == (len(frames), 109) and posteriors.dtype == np.float32
+        np.testing.assert_allclose(posteriors.sum(axis=1), 1.0, rtol=0, atol=1e-6)
         pred = predict_segments(model, track, smoothing_window=window)
         assert [(iv.start, iv.end, str(label)) for iv, label in pred.sequence.segments] == [
             (a / 10.0, b / 10.0, MODEL_CLASSES[idx[a]]) for a, b in spans]
-        expected = [probs[a:b, idx[a]].mean() for a, b in spans]
-        np.testing.assert_allclose(pred.confidences, expected, rtol=0, atol=1e-15)
+        expected = [probs[a:b, idx[a]].mean(dtype=np.float64) for a, b in spans]
+        np.testing.assert_allclose(pred.confidences, expected, rtol=0, atol=1e-6)
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 500), half=st.integers(0, 50), top=st.sampled_from([1, 3, 108]),

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,8 +242,54 @@ class TestPersistence:
         for (t0, l0), (t1, l1) in zip(corpus, loaded):
             assert t1.track_id == t0.track_id
             assert t1.frame_rate == t0.frame_rate
-            np.testing.assert_allclose(t1.frames, t0.frames, atol=1e-9)  # CSV keeps 9 decimals
+            # CSV keeps 9 decimals, float32 frames a relative 6e-8
+            np.testing.assert_allclose(t1.frames, t0.frames, rtol=1e-7, atol=1e-9)
             assert l1 == l0
+
+    def test_load_rounds_each_value_read_to_float32(self, tmp_path):
+        """Frames equal ``np.loadtxt(...).astype(np.float32)`` bit for bit, in both readers' layouts."""
+        spec = CorpusSpec(n_tracks=3, track_length_range=(5.0, 8.0), noise_sigma=0.5, seed=4, track_prefix="f")
+        save_corpus(tmp_path, generate_corpus(spec), spec)
+        crlf = tmp_path / "f-0002.csv"
+        crlf.write_bytes(crlf.read_bytes().replace(b"\n", b"\r\n"))
+        assert _csv_frames(crlf.read_bytes()) is None
+        loaded = load_corpus(tmp_path)[0]
+        for track, _ in loaded:
+            want = np.loadtxt(tmp_path / f"{track.track_id}.csv", delimiter=",", ndmin=2).astype(np.float32)
+            assert track.frames.dtype == np.float32
+            assert track.frames.shape == want.shape and track.frames.tobytes() == want.tobytes()
+
+    def test_save_writes_float32_values(self, tmp_path):
+        """A loaded corpus saves the %.9f text of its float32 values, widened exactly."""
+        spec = CorpusSpec(n_tracks=2, track_length_range=(5.0, 8.0), noise_sigma=0.5, seed=4)
+        save_corpus(tmp_path / "a", generate_corpus(spec), spec)
+        loaded = load_corpus(tmp_path / "a")[0]
+        save_corpus(tmp_path / "b", loaded, spec)
+        for track, _ in loaded:
+            written = (tmp_path / "b" / f"{track.track_id}.csv").read_bytes()
+            assert written == oracles.csv_bytes(track.frames.astype(np.float64))
+
+    def test_loaded_frames_take_four_bytes_a_value(self, tmp_path):
+        """A loaded corpus keeps 48 B of frames per frame: one float32 copy, no float64 one."""
+        def frames_and_retained_bytes(n_tracks):
+            spec = CorpusSpec(n_tracks=n_tracks, track_length_range=(20.0, 30.0), seed=5,
+                              track_prefix=f"m{n_tracks}")
+            save_corpus(tmp_path / spec.track_prefix, generate_corpus(spec), spec)
+            tracemalloc.start()
+            try:
+                corpus = load_corpus(tmp_path / spec.track_prefix)[0]
+                # numpy reports its data buffers to tracemalloc in a domain of their own
+                snapshot = tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            finally:
+                tracemalloc.stop()
+            dtypes = {track.frames.dtype for track, _ in corpus}
+            return sum(len(track) for track, _ in corpus), sum(s.size for s in snapshot.statistics("filename")), dtypes
+
+        frames_and_retained_bytes(1)  # first-call allocations stay out of the comparison
+        small, large = frames_and_retained_bytes(4), frames_and_retained_bytes(16)
+        assert (large[1] - small[1]) / (large[0] - small[0]) == pytest.approx(12 * 4, abs=2)
+        assert small[2] == large[2] == {np.dtype(np.float32)}
 
     def test_csv_bytes_equal_savetxt(self, tmp_path):
         spec = CorpusSpec(n_tracks=2, track_length_range=(5.0, 8.0), noise_sigma=0.5, seed=4)
@@ -427,6 +474,17 @@ class TestPersistence:
         path.write_text("0.5,x\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("value", ["1e39", "-1e39", "3.5e38"])
+    def test_load_rejects_values_beyond_float32(self, tmp_path, value):
+        # no RuntimeWarning either: pytest turns warnings into errors
+        self._with_tracks(tmp_path, ["rt-0000", "rt-0001"])
+        path = tmp_path / "rt-0001.csv"
+        path.write_text(",".join(["0.5"] * 11 + [value]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: a value lies beyond float32's range")):
+            load_corpus(tmp_path)
+        path.write_text(",".join(["0.5"] * 11 + ["-3.4e38"]) + "\n")
+        assert load_corpus(tmp_path)[0][1][0].frames[0, -1] == np.float32(-3.4e38)
 
     def test_load_rejects_repeated_track_ids(self, tmp_path):
         self._with_tracks(tmp_path, ["rt-0000", "rt-0001", "rt-0000"])
