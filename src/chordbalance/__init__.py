@@ -30,17 +30,7 @@ from .chords import (
     transpose,
 )
 from .focal import sequence_loss
-from .metrics import (
-    MetricsReport,
-    PerTypeLedger,
-    TrackPair,
-    acqa,
-    compute_report,
-    csr,
-    type_distribution,
-    wcsr,
-    wcsr_per_type,
-)
+from .metrics import MetricsReport, TrackPair, compute_report, type_distribution
 from .pipeline import ExperimentConfig, IterationReport, compare_runs, run_experiment
 from .selection import (
     ExcerptDataset,

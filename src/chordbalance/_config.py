@@ -2,11 +2,13 @@
 experiment configs, their ``augment`` object, ``select`` configs, corpus
 specs and saved model params all load through :func:`load_config`, and
 those saved as JSON echo themselves through :class:`JsonConfig`.  Every
-JSON file is read by :func:`read_json`.
+JSON file is read by :func:`read_json` and written by :func:`write_json`,
+and every CSV file is written by :func:`write_csv`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import types
 import typing
@@ -22,6 +24,24 @@ def read_json(path: str | Path) -> object:
         return json.loads(Path(path).read_text("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def json_text(value) -> str:
+    """The stable JSON form of ``value``: sorted keys, indent 2, a trailing newline."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path: str | Path, value) -> None:
+    """Write ``value`` to the file ``path`` in its stable JSON form."""
+    Path(path).write_text(json_text(value), "utf-8")
+
+
+def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """Write a CSV file: a header row, then the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_config(cls, raw, name: str, defaults: Mapping | None = None,

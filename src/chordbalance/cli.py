@@ -16,17 +16,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ._config import load_config, read_json
+from ._config import load_config, read_json, write_csv
 from .annotations import read_lab_file
 from .chords import label_to_string, parse_chord_label
-from .metrics import (
-    TrackPair,
-    _write_csv,
-    compute_report,
-    type_distribution,
-    write_per_type_csv,
-    write_report_json,
-)
+from .metrics import TrackPair, compute_report, type_distribution, write_per_type_csv, write_report_json
 from .pipeline import (
     ExperimentConfig,
     compare_runs,
@@ -86,7 +79,7 @@ def _cmd_stats(args) -> int:
     sequences = _lab_sequences(Path(args.corpus_dir))
     distribution = type_distribution(sequences)
     out = _out_dir(args) / "class_distribution.csv"
-    _write_csv(out, ["class", "share"], [[cls, f"{share:.6f}"] for cls, share in distribution.items()])
+    write_csv(out, ["class", "share"], [[cls, f"{share:.6f}"] for cls, share in distribution.items()])
     for cls, share in distribution.items():
         print(f"{cls}\t{share:.4f}")
     print(f"wrote {out}")
@@ -151,8 +144,9 @@ def _cmd_run(args) -> int:
     reports = run_experiment(config, out)
     for r in reports:
         print(f"iteration {r.iteration}: wcsr {r.metrics.wcsr:.4f}  acqa {r.metrics.acqa:.4f}")
-    best = max(reports, key=lambda r: r.metrics.acqa)
-    print(f"best by acqa: iteration {best.iteration} ({best.metrics.acqa:.4f}); wrote {out}")
+    table, _ = compare_runs([(config.name, [r.to_dict() for r in reports])])
+    _, best_iteration, _, best_acqa = table[0]
+    print(f"best by acqa: iteration {best_iteration} ({best_acqa:.4f}); wrote {out}")
     return EXIT_OK
 
 

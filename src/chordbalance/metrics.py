@@ -20,26 +20,20 @@ hand reproduces reported values only when the class sets coincide.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._config import json_text, write_csv, write_json
 from .annotations import TimedLabelSequence, per_class_overlap
 from .chords import CHORD_CLASSES, map_to_class
 
 __all__ = [
     "MetricsReport",
-    "PerTypeLedger",
     "TrackPair",
-    "acqa",
     "class_sort_key",
     "compute_report",
-    "csr",
     "type_distribution",
-    "wcsr",
-    "wcsr_per_type",
     "write_per_type_csv",
     "write_report_json",
 ]
@@ -65,75 +59,6 @@ class TrackPair:
             raise ValueError(
                 f"track mismatch: prediction {self.pred.track_id!r} vs reference {self.ref.track_id!r}"
             )
-
-
-@dataclass
-class PerTypeLedger:
-    """Reference and matched seconds accumulated per chord class."""
-
-    totals: dict[str, float] = field(default_factory=dict)
-    matched: dict[str, float] = field(default_factory=dict)
-
-    def scores(self) -> dict[str, float]:
-        """Per-class score for every class with reference time."""
-        return {
-            cls: self.matched.get(cls, 0.0) / dur
-            for cls, dur in sorted(self.totals.items(), key=lambda kv: class_sort_key(kv[0]))
-            if dur > 0
-        }
-
-    def recall(self) -> float:
-        """Matched over reference seconds, summed over all classes."""
-        total = sum(self.totals.values())
-        if total <= 0:
-            raise ValueError("no scoreable reference duration in corpus")
-        return sum(self.matched.values()) / total
-
-
-def wcsr_per_type(pairs: Iterable[TrackPair]) -> PerTypeLedger:
-    """Accumulate the per-class ledger over a corpus of track pairs.
-
-    Every corpus score reads this ledger; it is the one caller of
-    :func:`per_class_overlap`.
-    """
-    ledger = PerTypeLedger()
-    for pair in pairs:
-        for cls, (total, match) in per_class_overlap(pair.pred, pair.ref).items():
-            ledger.totals[cls] = ledger.totals.get(cls, 0.0) + total
-            ledger.matched[cls] = ledger.matched.get(cls, 0.0) + match
-    return ledger
-
-
-def csr(pair: TrackPair) -> float:
-    """Chord symbol recall of a single track, in [0, 1].
-
-    Raises
-    ------
-    ValueError
-        If the reference has no in-vocabulary duration.
-    """
-    ledger = wcsr_per_type([pair])
-    try:
-        return ledger.recall()
-    except ValueError:
-        raise ValueError(f"empty reference for track {pair.ref.track_id!r}") from None
-
-
-def wcsr(pairs: Iterable[TrackPair]) -> float:
-    """Reference-duration weighted CSR over a corpus of track pairs."""
-    return wcsr_per_type(pairs).recall()
-
-
-def acqa(ledger: PerTypeLedger) -> float:
-    """Unweighted mean of per-class scores over classes present.
-
-    Classes with zero reference duration stay out of the average rather
-    than dragging it down as zeros.
-    """
-    scores = ledger.scores()
-    if not scores:
-        raise ValueError("no chord class has reference duration")
-    return sum(scores.values()) / len(scores)
 
 
 def type_distribution(sequences: Iterable[TimedLabelSequence]) -> dict[str, float]:
@@ -171,7 +96,7 @@ class MetricsReport:
 
     def to_json(self) -> str:
         """Stable serialization: sorted keys, fixed indentation."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
 
     def per_type_rows(self) -> list[tuple[str, float, float]]:
         """(class, reference share, per-class score) rows in canonical order."""
@@ -183,29 +108,45 @@ class MetricsReport:
 
 
 def compute_report(pairs: Sequence[TrackPair]) -> MetricsReport:
-    """Evaluate a corpus of track pairs into a single report."""
-    ledger = wcsr_per_type(pairs)
+    """Evaluate a corpus of track pairs into a single report: the one scorer.
+
+    Reference and matched seconds are summed per class over the pairs in
+    order.  WCSR is matched over reference seconds summed over all
+    classes; a class's score is the same ratio within the class; the
+    class-quality average is the unweighted mean of the scores of the
+    classes with reference time, so absent classes do not drag it down
+    as zeros.
+
+    Raises
+    ------
+    ValueError
+        If no reference time lies outside class X.
+    """
+    totals: dict[str, float] = {}
+    matched: dict[str, float] = {}
+    for pair in pairs:
+        for cls, (total, match) in per_class_overlap(pair.pred, pair.ref).items():
+            totals[cls] = totals.get(cls, 0.0) + total
+            matched[cls] = matched.get(cls, 0.0) + match
+    reference = sum(totals.values())
+    if reference <= 0:
+        raise ValueError("no scoreable reference duration in corpus")
+    per_type = {cls: matched[cls] / totals[cls]
+                for cls in sorted(totals, key=class_sort_key) if totals[cls] > 0}
     return MetricsReport(
-        wcsr=ledger.recall(),
-        acqa=acqa(ledger),
-        per_type=ledger.scores(),
+        wcsr=sum(matched.values()) / reference,
+        acqa=sum(per_type.values()) / len(per_type),
+        per_type=per_type,
         distribution=type_distribution(pair.ref for pair in pairs),
     )
 
 
 def write_report_json(path: str | Path, report: MetricsReport) -> None:
-    Path(path).write_text(report.to_json(), "utf-8")
+    write_json(path, report.to_dict())
 
 
 def write_per_type_csv(path: str | Path, report: MetricsReport) -> None:
     """Per-class table: one row per class, reference share and score columns."""
-    _write_csv(path, ["class", "reference_share", "score"],
-               [[cls, f"{share:.6f}", f"{score:.6f}"] for cls, share, score in report.per_type_rows()])
+    write_csv(path, ["class", "reference_share", "score"],
+              [[cls, f"{share:.6f}", f"{score:.6f}"] for cls, share, score in report.per_type_rows()])
 
-
-def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    """The one CSV writer of the package: a header row, then the rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

@@ -23,7 +23,6 @@ kept out of reports.json and written to a separate timings.csv.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -32,10 +31,10 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import student
-from ._config import JsonConfig, load_config, read_json
+from ._config import JsonConfig, load_config, read_json, write_csv, write_json
 from .augment import AugmentSpec, add_noise, derive_seed, draw_semitones, pitch_shift
 from .chords import map_to_class
-from .metrics import MetricsReport, TrackPair, _write_csv, compute_report
+from .metrics import MetricsReport, TrackPair, compute_report
 from .selection import (
     DEFAULT_RARE_CLASSES,
     ExcerptDataset,
@@ -306,24 +305,20 @@ def _write_run_outputs(
     train_split,
     val_split,
 ) -> None:
-    (out / "reports.json").write_text(
-        json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n", "utf-8"
-    )
-    best = max(reports, key=lambda r: r.metrics.acqa)
-    _write_csv(out / "curves.csv", ["iteration", "wcsr", "acqa"],
-               [[r.iteration, f"{r.metrics.wcsr:.6f}", f"{r.metrics.acqa:.6f}"] for r in reports])
-    _write_csv(out / "summary.csv", ["name", "best_iteration", "wcsr", "acqa"],
-               [[config.name, best.iteration, f"{best.metrics.wcsr:.6f}", f"{best.metrics.acqa:.6f}"]])
-    _write_csv(out / "timings.csv", ["iteration", "wall_seconds"],
-               [[r.iteration, f"{r.wall_seconds:.3f}"] for r in reports])
-    manifest = {
+    series = [r.to_dict() for r in reports]
+    write_json(out / "reports.json", series)
+    table, curves = compare_runs([(config.name, series)])
+    write_csv(out / "curves.csv", ["iteration", "wcsr", "acqa"],
+              [[iteration, f"{w:.6f}", f"{a:.6f}"] for _, iteration, w, a in curves])
+    write_csv(out / "summary.csv", ["name", "best_iteration", "wcsr", "acqa"],
+              [[name, iteration, f"{w:.6f}", f"{a:.6f}"] for name, iteration, w, a in table])
+    write_csv(out / "timings.csv", ["iteration", "wall_seconds"],
+              [[r.iteration, f"{r.wall_seconds:.3f}"] for r in reports])
+    write_json(out / "run_manifest.json", {
         "config": config.to_dict(),
         "train_tracks": sorted(track.track_id for track, _ in train_split),
         "validation_tracks": sorted(track.track_id for track, _ in val_split),
-    }
-    (out / "run_manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8"
-    )
+    })
 
 
 def load_reports(run_dir: str | Path) -> list[dict]:
@@ -376,5 +371,5 @@ def write_comparison_csvs(
     output_dir.mkdir(parents=True, exist_ok=True)
     for filename, first, rows in (("comparison.csv", "best_iteration", table),
                                   ("curves.csv", "iteration", curves)):
-        _write_csv(output_dir / filename, ["name", first, "wcsr", "acqa"],
-                   [[name, iteration, f"{w:.6f}", f"{a:.6f}"] for name, iteration, w, a in rows])
+        write_csv(output_dir / filename, ["name", first, "wcsr", "acqa"],
+                  [[name, iteration, f"{w:.6f}", f"{a:.6f}"] for name, iteration, w, a in rows])

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from ._config import write_csv, write_json
 from .annotations import Interval, TimedLabelSequence, merge_intervals
 from .chords import CHORD_CLASSES, ChordLabel, label_to_string, map_to_class, parse_chord_label
-from .metrics import _write_csv, class_sort_key
+from .metrics import class_sort_key
 from .student import PredictedSegments
 
 __all__ = [
@@ -139,7 +140,7 @@ def select_balanced_subset(
     Parameters
     ----------
     pseudolabels : predicted segment sequences with confidences
-    track_durations : total duration in seconds per track id
+    track_durations : total duration in seconds per track id, each finite and positive
     config : SelectionConfig
 
     Returns
@@ -149,6 +150,9 @@ def select_balanced_subset(
         Empty pseudolabels yield an empty dataset with every configured
         rare class flagged as a shortfall.
     """
+    for tid, seconds in track_durations.items():
+        if not (math.isfinite(seconds) and seconds > 0):
+            raise ValueError(f"track {tid!r}: duration must be finite and positive, got {seconds}")
     pool: dict[str, float] = {}
     candidates: dict[str, list[tuple[float, str, Interval]]] = {}
     rare = set(config.rare_classes)
@@ -306,7 +310,7 @@ def write_excerpts_json(path: str | Path, dataset: ExcerptDataset) -> None:
             for tid, ivs in dataset.intervals.items()
         }
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
+    write_json(path, payload)
 
 
 def write_selection_report_csv(path: str | Path, report: SelectionReport) -> None:
@@ -315,4 +319,4 @@ def write_selection_report_csv(path: str | Path, report: SelectionReport) -> Non
          "true" if sel.shortfall else "false"]
         for cls, sel in report.per_class.items()
     ]
-    _write_csv(path, ["class", "desired_duration", "selected_duration", "seeds_used", "shortfall"], rows)
+    write_csv(path, ["class", "desired_duration", "selected_duration", "seeds_used", "shortfall"], rows)

@@ -34,7 +34,6 @@ per frame, and a pitch shift maps outputs by one table, ``_SHIFTED``.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import queue
@@ -49,7 +48,7 @@ import numpy as np
 import numpy.random
 
 from . import focal
-from ._config import JsonConfig, load_config, read_json
+from ._config import JsonConfig, load_config, read_json, write_json
 from .annotations import Interval, TimedLabelSequence
 from .chords import (
     CHORD_CLASSES,
@@ -486,7 +485,7 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
         "weights": model.weights.tolist(),
         "params": model.params.to_dict(),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
+    write_json(path, payload)
 
 
 def load_model(path: str | Path) -> ClassifierModel:

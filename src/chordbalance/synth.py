@@ -17,7 +17,6 @@ class only 0.2 percent, and the remainder is no-chord.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._config import JsonConfig, load_config, read_json
+from ._config import JsonConfig, load_config, read_json, write_json
 from .annotations import Interval, TimedLabelSequence, read_lab_file, write_lab_file
 from .augment import derive_seed
 from .chords import CHORD_CLASSES, NO_CHORD, REPRESENTATIVE_QUALITY, ChordLabel
@@ -317,9 +316,7 @@ def save_corpus(
         "tracks": [track.track_id for track, _ in corpus],
         "spec": spec.to_dict() if spec is not None else None,
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8"
-    )
+    write_json(directory / "manifest.json", manifest)
     for track, labels in corpus:
         (directory / f"{track.track_id}.csv").write_bytes(_csv_bytes(track.frames))
         write_lab_file(directory / f"{track.track_id}.lab", labels)

@@ -15,7 +15,7 @@ from chordbalance import cli
 from chordbalance.annotations import Interval, read_lab_file, write_lab_file
 from chordbalance.augment import AugmentSpec, pitch_shift
 from chordbalance.chords import label_to_string, map_to_class, parse_chord_label
-from chordbalance.metrics import TrackPair, compute_report, csr, type_distribution
+from chordbalance.metrics import TrackPair, compute_report, type_distribution
 from chordbalance.pipeline import ExperimentConfig, run_experiment
 from chordbalance.selection import (
     SelectionConfig,
@@ -71,7 +71,7 @@ def test_exact_scoring_matches_sampled_oracle(capsys):
         pairs.append(TrackPair(pred, ref))
     worst = 0.0
     for pair in pairs:
-        worst = max(worst, abs(csr(pair) - sampled_csr(pair.pred, pair.ref)))
+        worst = max(worst, abs(compute_report([pair]).wcsr - sampled_csr(pair.pred, pair.ref)))
     report = compute_report(pairs)
     oracle_wcsr, oracle_acqa, oracle_per_type = sampled_corpus_scores(
         [(p.pred, p.ref) for p in pairs]

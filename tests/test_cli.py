@@ -200,6 +200,17 @@ class TestEvaluate:
             blobs.append((out_dir / "metrics.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_reference_without_scoreable_time(self, capsys, tmp_path, lab_dirs):
+        pred, ref = lab_dirs
+        for name in ("one", "two"):
+            (ref / f"{name}.lab").write_text("0.0 2.0 X\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "--output-dir", str(out_dir),
+                               "evaluate", "--pred", str(pred), "--ref", str(ref))
+        assert code == cli.EXIT_DATA
+        assert err == "error: no scoreable reference duration in corpus\n"
+        assert not (out_dir / "metrics.json").exists()
+
 
 class TestSelect:
     @pytest.fixture()
@@ -289,6 +300,18 @@ class TestSelect:
                                "--config", str(select_inputs[1]))
         assert code == cli.EXIT_DATA
         assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("seconds", ["NaN", "Infinity"])
+    def test_non_finite_duration(self, capsys, tmp_path, select_inputs, seconds):
+        jsonl, config = select_inputs
+        text = config.read_text().replace('"pool-000": 60.0', f'"pool-000": {seconds}')
+        assert text != config.read_text()
+        config.write_text(text)
+        code, _, err = run_cli(capsys, "--output-dir", str(tmp_path / "out"),
+                               "select", "--pseudolabels", str(jsonl), "--config", str(config))
+        assert code == cli.EXIT_DATA
+        assert "track 'pool-000': duration must be finite and positive" in err
+        assert not (tmp_path / "out" / "excerpts.json").exists()
 
     @pytest.mark.parametrize(
         "edit,message",

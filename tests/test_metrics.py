@@ -1,24 +1,20 @@
-"""Corpus scores: recall ratios, per-class ledger, class-quality average."""
+"""Corpus scores of the one scorer: recall ratios, per-class scores, class-quality average."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from chordbalance.annotations import Interval, TimedLabelSequence
+from chordbalance.annotations import Interval, TimedLabelSequence, per_class_overlap
 from chordbalance.chords import parse_chord_label
 from chordbalance.metrics import (
     MetricsReport,
-    PerTypeLedger,
     TrackPair,
-    acqa,
     class_sort_key,
     compute_report,
-    csr,
     type_distribution,
-    wcsr,
-    wcsr_per_type,
     write_per_type_csv,
     write_report_json,
 )
@@ -38,7 +34,8 @@ def pair(pred, ref):
 
 
 # Per-class scores of the published baseline system on its seven
-# evaluation qualities; their mean rounds to 0.274.
+# evaluation qualities; their mean rounds to 0.274.  Each is a whole
+# number of thousandths, so a 1000 s track scores it exactly.
 BASELINE_PER_TYPE = {
     "maj": 0.616,
     "min": 0.693,
@@ -57,44 +54,49 @@ class TestTrackPair:
 
 
 class TestCsr:
+    """The WCSR of a one-track corpus is that track's chord symbol recall."""
+
     def test_identity(self):
         s = seq("t", (0, 2, "C:maj"), (2, 3, "N"))
-        assert csr(pair(s, s)) == 1.0
+        assert compute_report([pair(s, s)]).wcsr == 1.0
 
     def test_disjoint(self):
         p = seq("t", (0, 4, "N"))
         r = seq("t", (0, 4, "C:maj"))
-        assert csr(pair(p, r)) == 0.0
+        assert compute_report([pair(p, r)]).wcsr == 0.0
 
     def test_partial_overlap(self):
         p = seq("t", (0, 2, "C:maj"), (2, 4, "C:maj"))
         r = seq("t", (0, 3, "C:maj"), (3, 4, "A:min"))
-        assert csr(pair(p, r)) == 0.75
+        assert compute_report([pair(p, r)]).wcsr == 0.75
         assert sampled_csr(p, r) == pytest.approx(0.75, abs=1e-9)
 
     def test_empty_reference_raises(self):
         p = seq("t", (0, 2, "C:maj"))
         r = seq("t", (0, 2, "X"))
-        with pytest.raises(ValueError, match="empty reference"):
-            csr(pair(p, r))
+        with pytest.raises(ValueError, match="no scoreable reference duration"):
+            compute_report([pair(p, r)])
 
     def test_bounds(self):
         rng = np.random.default_rng(5)
         for i in range(30):
             p, r = random_pair(rng, f"t{i}", 25.0)
-            assert 0.0 <= csr(pair(p, r)) <= 1.0
+            assert 0.0 <= compute_report([pair(p, r)]).wcsr <= 1.0
 
 
 class TestWcsr:
     def test_single_track_equals_csr(self):
+        # matched over reference seconds of the track's own overlap table, bit for bit
         rng = np.random.default_rng(8)
         p, r = random_pair(rng, "t", 30.0)
-        assert wcsr([pair(p, r)]) == csr(pair(p, r))
+        overlap = per_class_overlap(p, r).values()
+        csr = sum(m for _, m in overlap) / sum(t for t, _ in overlap)
+        assert compute_report([pair(p, r)]).wcsr == csr
 
     def test_symmetric_mean(self):
         right = pair(seq("a", (0, 10, "C:maj")), seq("a", (0, 10, "C:maj")))
         wrong = pair(seq("b", (0, 10, "N")), seq("b", (0, 10, "C:maj")))
-        assert wcsr([right, wrong]) == 0.5
+        assert compute_report([right, wrong]).wcsr == 0.5
 
     def test_duration_weighting(self):
         # T = {10, 30} at CSR {1.0, 0.5}: (10*1 + 30*0.5) / 40
@@ -103,11 +105,11 @@ class TestWcsr:
             seq("b", (0, 15, "C:maj"), (15, 30, "N")),
             seq("b", (0, 30, "C:maj")),
         )
-        assert wcsr([full, half]) == 0.625
+        assert compute_report([full, half]).wcsr == 0.625
 
     def test_empty_corpus_raises(self):
-        with pytest.raises(ValueError):
-            wcsr([])
+        with pytest.raises(ValueError, match="no scoreable reference duration"):
+            compute_report([])
 
     def test_invariant_under_track_split(self):
         rng = np.random.default_rng(13)
@@ -116,8 +118,8 @@ class TestWcsr:
             cut = float(rng.uniform(5.0, 25.0))
             pl, pr = _split(p, cut, "left", "right")
             rl, rr = _split(r, cut, "left", "right")
-            whole = wcsr([pair(p, r)])
-            parts = wcsr([pair(pl, rl), pair(pr, rr)])
+            whole = compute_report([pair(p, r)]).wcsr
+            parts = compute_report([pair(pl, rl), pair(pr, rr)]).wcsr
             assert parts == pytest.approx(whole, rel=1e-12)
 
     def test_permutation_invariance(self):
@@ -147,17 +149,17 @@ def _split(s, t, left_id, right_id):
 class TestPerType:
     def test_single_class_identity(self):
         s = seq("t", (0, 5, "C:maj"))
-        assert wcsr_per_type([pair(s, s)]).scores() == {"maj": 1.0}
+        assert compute_report([pair(s, s)]).per_type == {"maj": 1.0}
 
     def test_two_class_split(self):
         p = seq("t", (0, 4, "C:maj"))
         r = seq("t", (0, 3, "C:maj"), (3, 4, "B:hdim7"))
-        assert wcsr_per_type([pair(p, r)]).scores() == {"maj": 1.0, "hdim7": 0.0}
+        assert compute_report([pair(p, r)]).per_type == {"maj": 1.0, "hdim7": 0.0}
 
     def test_matches_oracle_per_class(self):
         rng = np.random.default_rng(31)
         pairs = [pair(*random_pair(rng, f"t{i}", 40.0)) for i in range(6)]
-        scores = wcsr_per_type(pairs).scores()
+        scores = compute_report(pairs).per_type
         _, _, oracle = sampled_corpus_scores((p.pred, p.ref) for p in pairs)
         assert set(scores) == set(oracle)
         for cls, score in scores.items():
@@ -166,37 +168,41 @@ class TestPerType:
 
 class TestAcqa:
     def test_constant_mean(self):
-        ledger = PerTypeLedger(
-            totals={"maj": 3.0, "N": 2.0}, matched={"maj": 3.0, "N": 2.0}
-        )
-        assert acqa(ledger) == 1.0
+        s = seq("t", (0, 3, "C:maj"), (3, 5, "N"))
+        assert compute_report([pair(s, s)]).acqa == 1.0
 
     def test_two_class_mean(self):
-        ledger = PerTypeLedger(
-            totals={"maj": 3.0, "hdim7": 1.0}, matched={"maj": 3.0, "hdim7": 0.0}
-        )
-        assert acqa(ledger) == 0.5
+        p = seq("t", (0, 4, "C:maj"))
+        r = seq("t", (0, 3, "C:maj"), (3, 4, "B:hdim7"))
+        assert compute_report([pair(p, r)]).acqa == 0.5
 
     def test_published_baseline_row(self):
-        ledger = PerTypeLedger(
-            totals={cls: 1.0 for cls in BASELINE_PER_TYPE},
-            matched=dict(BASELINE_PER_TYPE),
-        )
-        value = acqa(ledger)
-        assert value == pytest.approx(sum(BASELINE_PER_TYPE.values()) / 7, abs=1e-12)
-        assert round(value, 3) == 0.274
+        # one 1000 s track per class, right for the class's score in thousandths, N after
+        pairs = []
+        for cls, score in BASELINE_PER_TYPE.items():
+            right = round(score * 1000)
+            ref = seq(cls, (0, 1000, f"C:{cls}"))
+            pred = seq(cls, (0, right, f"C:{cls}"), (right, 1000, "N"))
+            pairs.append(pair(pred, ref))
+        report = compute_report(pairs)
+        assert report.per_type == BASELINE_PER_TYPE
+        assert report.acqa == pytest.approx(sum(BASELINE_PER_TYPE.values()) / 7, abs=1e-12)
+        assert round(report.acqa, 3) == 0.274
 
     def test_empty_ledger_raises(self):
-        with pytest.raises(ValueError):
-            acqa(PerTypeLedger())
+        # no class has reference time: the average has nothing to run over
+        p = seq("t", (0, 3, "C:maj"))
+        r = seq("t", (0, 1, "X"), (1, 3, "X"))
+        with pytest.raises(ValueError, match="no scoreable reference duration"):
+            compute_report([pair(p, r)])
 
     def test_equals_mean_of_per_type_exactly(self):
         rng = np.random.default_rng(41)
         for i in range(20):
             pairs = [pair(*random_pair(rng, f"t{i}-{j}", 20.0)) for j in range(4)]
-            ledger = wcsr_per_type(pairs)
-            scores = ledger.scores()
-            assert abs(acqa(ledger) - sum(scores.values()) / len(scores)) <= 1e-12
+            report = compute_report(pairs)
+            scores = report.per_type
+            assert abs(report.acqa - sum(scores.values()) / len(scores)) <= 1e-12
 
     def test_equals_wcsr_when_scores_uniform(self):
         # every class half right: per-class scores all 0.5, so both metrics agree
@@ -213,9 +219,9 @@ class TestAcqa:
             preds.append((2.0 * k + 1.0, 2.0 * k + 2.0, wrong))
         p = seq("t", *preds)
         r = seq("t", *refs)
-        ledger = wcsr_per_type([pair(p, r)])
-        assert set(ledger.scores().values()) == {0.5}
-        assert acqa(ledger) == wcsr([pair(p, r)]) == 0.5
+        report = compute_report([pair(p, r)])
+        assert set(report.per_type.values()) == {0.5}
+        assert report.acqa == report.wcsr == 0.5
 
 
 class TestTypeDistribution:
@@ -255,14 +261,28 @@ class TestTypeDistribution:
 
 class TestReport:
     def test_compute_report_consistency(self):
-        # every entry point reads the same ledger, so they agree bit for bit
+        # WCSR and every class score are ratios of per-class seconds summed in pair order
         rng = np.random.default_rng(47)
         pairs = [pair(*random_pair(rng, f"t{i}", 25.0)) for i in range(200)]
         report = compute_report(pairs)
-        assert wcsr(pairs) == report.wcsr
-        assert acqa(wcsr_per_type(pairs)) == report.acqa
+        totals, matched = {}, {}
+        for p in pairs:
+            for cls, (total, match) in per_class_overlap(p.pred, p.ref).items():
+                totals[cls] = totals.get(cls, 0.0) + total
+                matched[cls] = matched.get(cls, 0.0) + match
+        assert report.wcsr == sum(matched.values()) / sum(totals.values())
+        assert report.per_type == {cls: matched[cls] / totals[cls] for cls in totals}
+        assert list(report.per_type) == sorted(report.per_type, key=class_sort_key)
+        assert report.acqa == sum(report.per_type.values()) / len(report.per_type)
         assert sum(report.distribution.values()) == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= report.wcsr <= 1.0 and 0.0 <= report.acqa <= 1.0
+
+    def test_json_bytes_pinned(self):
+        # a reordering of the sums moves the last bits of a score, and with them reports.json
+        rng = np.random.default_rng(47)
+        pairs = [pair(*random_pair(rng, f"t{i}", 25.0)) for i in range(200)]
+        digest = hashlib.sha256(compute_report(pairs).to_json().encode()).hexdigest()
+        assert digest == "a5cef4d593d429509e1ed9c7e7963b2c866674e4e33560ccf9c1899215be51b1"
 
     def test_json_stable_and_complete(self, tmp_path):
         report = MetricsReport(

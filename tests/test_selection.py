@@ -216,6 +216,17 @@ class TestSelectionFlow:
         dataset, _ = select_balanced_subset(pool, {"t": 12.0}, config)
         assert dataset.intervals == {"t": (Interval(4.0, 12.0),)}
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_duration_not_finite_and_positive_raises(self, seconds):
+        # a NaN or infinite length never clamps a window: a 1 s track would give an 8 s excerpt
+        pool = [labelled("t", [(0.0, 1.0, "C:dim")], [0.9])]
+        config = SelectionConfig(min_length=8.0, labeled_total=8.0)
+        with pytest.raises(ValueError, match=r"^track 't': duration must be finite and positive, got "):
+            select_balanced_subset(pool, {"t": seconds}, config)
+        # a listed track without pseudolabels is checked too
+        with pytest.raises(ValueError, match=r"^track 'u': duration must be finite and positive"):
+            select_balanced_subset(pool, {"t": 1.0, "u": seconds}, config)
+
 
 class TestInvariants:
     def make_pool(self, seed):
