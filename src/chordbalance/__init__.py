@@ -36,7 +36,6 @@ from .selection import (
     ExcerptDataset,
     SelectionConfig,
     SelectionReport,
-    distribution_of_selection,
     select_balanced_subset,
 )
 from .student import (

@@ -9,6 +9,7 @@ exact float comparisons, there is no epsilon anywhere in this module.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -38,20 +39,40 @@ class LabFormatError(ValueError):
     """Malformed .lab content; the message names the 1-based line, after the file from read_lab_file."""
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """Half-open time span [start, end) in seconds, end > start >= 0."""
+_INF = math.inf
+_new_tuple = tuple.__new__
 
-    start: float
-    end: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ValueError(f"non-finite interval ({self.start}, {self.end})")
-        if self.start < 0:
-            raise ValueError(f"negative interval start {self.start}")
-        if self.end <= self.start:
-            raise ValueError(f"empty or inverted interval [{self.start}, {self.end})")
+def _interval_error(start, end) -> ValueError:
+    """Why ``(start, end)`` fails ``0 <= start < end < inf``."""
+    if not (math.isfinite(start) and math.isfinite(end)):
+        return ValueError(f"non-finite interval ({start}, {end})")
+    if start < 0:
+        return ValueError(f"negative interval start {start}")
+    return ValueError(f"empty or inverted interval [{start}, {end})")
+
+
+class Interval(namedtuple("Interval", ("start", "end"))):
+    """Half-open time span [start, end) in seconds, end > start >= 0.
+
+    An immutable tuple, so it equals, hashes, sorts and unpacks like
+    ``(start, end)``.  Every way of building one validates: the
+    constructor, ``_make``, ``_replace``, pickle and ``copy``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: float, end: float) -> Interval:
+        if not 0.0 <= start < end < _INF:
+            raise _interval_error(start, end)
+        return _new_tuple(cls, (start, end))
+
+    @classmethod
+    def _make(cls, iterable) -> Interval:
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def duration(self) -> float:
@@ -107,10 +128,15 @@ def read_lab(text: str, track_id: str) -> TimedLabelSequence:
         fields = line.split(maxsplit=2)
         if len(fields) != 3:
             raise LabFormatError(f"line {lineno}: expected 'start end label', got {raw!r}")
+        t0, t1 = fields[0], fields[1]
         try:
-            start, end = float(fields[0]), float(fields[1])
+            start, end = float(t0), float(t1)
+            # float() also reads digit separators and non-ASCII digits
+            numeric = "_" not in t0 and "_" not in t1 and t0.isascii() and t1.isascii()
         except ValueError:
-            raise LabFormatError(f"line {lineno}: non-numeric time in {raw!r}") from None
+            numeric = False
+        if not numeric:
+            raise LabFormatError(f"line {lineno}: non-numeric time in {raw!r}")
         try:
             interval = Interval(start, end)
         except ValueError as exc:
@@ -157,9 +183,8 @@ def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
 
     Touching intervals coalesce: [0, 1) and [1, 2) merge into [0, 2).
     """
-    ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
     merged: list[Interval] = []
-    for iv in ordered:
+    for iv in sorted(intervals):
         if merged and iv.start <= merged[-1].end:
             if iv.end > merged[-1].end:
                 merged[-1] = Interval(merged[-1].start, iv.end)

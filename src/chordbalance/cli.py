@@ -12,6 +12,8 @@ raise ``ValueError`` still exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -57,6 +59,21 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _gc_paused(command):
+    """Run ``command`` with the cyclic collector paused, which would rescan
+    every segment kept so far on each pass; segments hold no cycles."""
+    @functools.wraps(command)
+    def run(args) -> int:
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return command(args)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return run
+
+
 def _cmd_parse(args) -> int:
     print(label_to_string(parse_chord_label(args.label)))
     return EXIT_OK
@@ -75,6 +92,7 @@ def _lab_sequences(directory: Path):
     return [read_lab_file(p) for p in paths]
 
 
+@_gc_paused
 def _cmd_stats(args) -> int:
     sequences = _lab_sequences(Path(args.corpus_dir))
     distribution = type_distribution(sequences)
@@ -86,6 +104,7 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+@_gc_paused
 def _cmd_evaluate(args) -> int:
     pred_dir, ref_dir = Path(args.pred), Path(args.ref)
     refs = {p.stem: p for p in sorted(ref_dir.glob("*.lab"))}
@@ -105,6 +124,7 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+@_gc_paused
 def _cmd_select(args) -> int:
     raw = read_json(args.config)
     config = load_config(SelectionConfig, raw, "selection config",

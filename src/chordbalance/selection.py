@@ -29,7 +29,6 @@ from typing import Iterable, Mapping, Sequence
 from ._config import write_csv, write_json
 from .annotations import Interval, TimedLabelSequence, merge_intervals
 from .chords import CHORD_CLASSES, ChordLabel, label_to_string, map_to_class, parse_chord_label
-from .metrics import class_sort_key
 from .student import PredictedSegments
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "SelectionConfig",
     "SelectionEvent",
     "SelectionReport",
-    "distribution_of_selection",
     "read_pseudolabels_jsonl",
     "select_balanced_subset",
     "write_excerpts_json",
@@ -208,27 +206,6 @@ def select_balanced_subset(
     return dataset, SelectionReport(per_class)
 
 
-def distribution_of_selection(
-    dataset: ExcerptDataset,
-    pseudolabels: Sequence[PredictedSegments],
-) -> dict[str, float]:
-    """Class share of pseudolabel time inside the selected excerpts."""
-    if not dataset.intervals:
-        raise ValueError("empty excerpt dataset")
-    acc: dict[str, float] = {}
-    for ps in pseudolabels:
-        ivs = dataset.intervals.get(ps.sequence.track_id, ())
-        for iv, lab in ps.sequence.segments:
-            inside = _covered(ivs, iv)
-            if inside > 0:
-                cls = map_to_class(lab)
-                acc[cls] = acc.get(cls, 0.0) + inside
-    total = sum(acc.values())
-    if total <= 0:
-        raise ValueError("no pseudolabel time inside the selection")
-    return {cls: acc[cls] / total for cls in sorted(acc, key=class_sort_key)}
-
-
 def write_pseudolabels_jsonl(path: str | Path, pseudolabels: Iterable[PredictedSegments]) -> None:
     """One JSON object per line: track, start, end, label, confidence."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -249,10 +226,33 @@ def write_pseudolabels_jsonl(path: str | Path, pseudolabels: Iterable[PredictedS
 
 _NUMBER = (int, float)  # json.loads gives exactly these types, so a bool is neither
 
+# json.loads(s) is this scanner plus BOM, whitespace and trailing-data checks
+_scan_once = json.JSONDecoder().scan_once
+_json_space = json.decoder.WHITESPACE.match
 
-def _type_error(rec: dict) -> ValueError:
-    """The error naming the first field of a pseudolabel record, known to
-    hold one, whose JSON type is wrong."""
+
+def _decode_line(line: str):
+    """``json.loads(line)`` for a stripped line, raising what it raises."""
+    try:
+        value, end = _scan_once(line, 0)
+    except StopIteration as stop:
+        if line.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0) from None
+        raise json.JSONDecodeError("Expecting value", line, stop.value) from None
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, _json_space(line, end).end())
+    return value
+
+
+def _record_error(rec) -> ValueError:
+    """The error saying why a decoded pseudolabel record is not an object
+    holding the five fields at their JSON types."""
+    if type(rec) is not dict:
+        return ValueError(f"expected a JSON object with track, start, end, label and confidence, "
+                          f"got {json.dumps(rec)}")
+    missing = [key for key in ("track", "start", "end", "label", "confidence") if key not in rec]
+    if missing:
+        return ValueError(f"lacks required fields: {missing}")
     key = next((key for key in ("track", "label") if type(rec[key]) is not str), None)
     if key is not None:
         return ValueError(f"{key} {json.dumps(rec[key])} is not a string")
@@ -262,9 +262,9 @@ def _type_error(rec: dict) -> ValueError:
 
 def read_pseudolabels_jsonl(path: str | Path) -> list[PredictedSegments]:
     """Read pseudolabels back, one PredictedSegments per track; malformed
-    or non-UTF-8 input raises ``ValueError`` naming the file.  ``track``
-    and ``label`` must be JSON strings, ``start``, ``end`` and
-    ``confidence`` JSON numbers."""
+    or non-UTF-8 input raises ``ValueError`` naming the file.  Each line
+    is a JSON object whose ``track`` and ``label`` are JSON strings and
+    whose ``start``, ``end`` and ``confidence`` are JSON numbers."""
     grouped: dict[str, list[tuple[Interval, ChordLabel, float, int]]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -273,18 +273,21 @@ def read_pseudolabels_jsonl(path: str | Path) -> list[PredictedSegments]:
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
-                    tid, label = rec["track"], rec["label"]
-                    start, end, confidence = rec["start"], rec["end"], rec["confidence"]
+                    rec = _decode_line(line)
+                    try:
+                        tid, label = rec["track"], rec["label"]
+                        start, end, confidence = rec["start"], rec["end"], rec["confidence"]
+                    except (KeyError, TypeError):
+                        raise _record_error(rec) from None
                     if not (type(tid) is type(label) is str and type(start) in _NUMBER
                             and type(end) in _NUMBER and type(confidence) in _NUMBER):
-                        raise _type_error(rec)
+                        raise _record_error(rec)
                     confidence = float(confidence)
                     if not 0.0 <= confidence <= 1.0:
                         raise ValueError(f"confidence {confidence} outside [0, 1]")
                     interval = Interval(float(start), float(end))
                     entry = (interval, parse_chord_label(label), confidence, lineno)
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                except (ValueError, OverflowError) as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
                 grouped.setdefault(tid, []).append(entry)
     except UnicodeDecodeError as exc:

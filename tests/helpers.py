@@ -11,6 +11,7 @@ import numpy as np
 
 from chordbalance.annotations import Interval, TimedLabelSequence, per_class_overlap
 from chordbalance.chords import NO_CHORD, REPRESENTATIVE_QUALITY, UNKNOWN, ChordLabel, map_to_class
+from chordbalance.metrics import class_sort_key
 from chordbalance.student import PredictedSegments, frame_targets
 
 SCOREABLE = ("maj", "min", "7", "min7", "maj7", "dim", "hdim7", "aug", "sus", "N")
@@ -106,3 +107,21 @@ def frame_accuracy(model, corpus):
     if total == 0:
         raise ValueError("no frames to score")
     return hits / total
+
+
+def distribution_of_selection(dataset, pseudolabels):
+    """Class share of pseudolabel time inside the selected excerpts."""
+    if not dataset.intervals:
+        raise ValueError("empty excerpt dataset")
+    acc = {}
+    for ps in pseudolabels:
+        excerpts = dataset.intervals.get(ps.sequence.track_id, ())
+        for iv, lab in ps.sequence.segments:
+            inside = sum(max(0.0, min(ex.end, iv.end) - max(ex.start, iv.start)) for ex in excerpts)
+            if inside > 0:
+                cls = map_to_class(lab)
+                acc[cls] = acc.get(cls, 0.0) + inside
+    total = sum(acc.values())
+    if total <= 0:
+        raise ValueError("no pseudolabel time inside the selection")
+    return {cls: acc[cls] / total for cls in sorted(acc, key=class_sort_key)}

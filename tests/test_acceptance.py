@@ -17,15 +17,18 @@ from chordbalance.augment import AugmentSpec, pitch_shift
 from chordbalance.chords import label_to_string, map_to_class, parse_chord_label
 from chordbalance.metrics import TrackPair, compute_report, type_distribution
 from chordbalance.pipeline import ExperimentConfig, run_experiment
-from chordbalance.selection import (
-    SelectionConfig,
-    distribution_of_selection,
-    select_balanced_subset,
-)
+from chordbalance.selection import SelectionConfig, select_balanced_subset
 from chordbalance.student import PredictedSegments, frame_targets
 from chordbalance.synth import CorpusSpec, generate_corpus, save_corpus
 
-from helpers import build_sequence, grid_sequence, pseudo_pool, random_label, random_pair
+from helpers import (
+    build_sequence,
+    distribution_of_selection,
+    grid_sequence,
+    pseudo_pool,
+    random_label,
+    random_pair,
+)
 from oracles import csv_bytes, fd_gradient, loss_and_logit_grad, sampled_corpus_scores, sampled_csr
 
 # published per-type recall row for a supervised reference system; its

@@ -1,5 +1,7 @@
 """Interval algebra, .lab round trips and exact overlap accounting."""
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -47,6 +49,60 @@ class TestInterval:
     def test_rejects_degenerate(self, start, end):
         with pytest.raises(ValueError):
             Interval(start, end)
+
+    @pytest.mark.parametrize(
+        "start,end,message",
+        [
+            (0.0, float("nan"), "non-finite interval (0.0, nan)"),
+            (-1.0, float("inf"), "non-finite interval (-1.0, inf)"),
+            (float("-inf"), 1.0, "non-finite interval (-inf, 1.0)"),
+            (-0.5, 1.0, "negative interval start -0.5"),
+            (-2.0, -3.0, "negative interval start -2.0"),
+            (2.0, 1.0, "empty or inverted interval [2.0, 1.0)"),
+            (1.0, 1.0, "empty or inverted interval [1.0, 1.0)"),
+        ],
+    )
+    def test_messages(self, start, end, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Interval(start, end)
+
+    def test_is_an_immutable_tuple(self):
+        iv = Interval(1.0, 2.5)
+        assert iv == Interval(1.0, 2.5) == (1.0, 2.5)
+        assert iv != Interval(1.0, 3.0)
+        assert hash(iv) == hash(Interval(1.0, 2.5)) == hash((1.0, 2.5))
+        start, end = iv
+        assert (start, end, iv.duration) == (1.0, 2.5, 1.5)
+        assert repr(iv) == "Interval(start=1.0, end=2.5)"
+        with pytest.raises(AttributeError):
+            iv.start = 0.0
+        with pytest.raises(AttributeError):
+            iv.label = "C:maj"
+
+    def test_copies_and_pickles(self):
+        iv = Interval(1.0, 2.5)
+        rebuilt = [copy.copy(iv), copy.deepcopy(iv), Interval._make([1.0, 2.5])]
+        rebuilt += [pickle.loads(pickle.dumps(iv, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(type(other) is Interval and other == iv for other in rebuilt)
+        assert iv._replace(end=4.0) == Interval(1.0, 4.0)
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [
+            lambda iv: Interval._make(tuple(iv)),
+            lambda iv: Interval(0.5, 1.5)._replace(start=iv.start, end=iv.end),
+            copy.copy,
+            copy.deepcopy,
+            *(lambda iv, proto=proto: pickle.loads(pickle.dumps(iv, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ],
+        ids=["make", "replace", "copy", "deepcopy",
+             *(f"pickle{proto}" for proto in range(pickle.HIGHEST_PROTOCOL + 1))],
+    )
+    def test_every_way_of_building_one_validates(self, rebuild):
+        inverted = tuple.__new__(Interval, (2.0, 1.0))  # built around the constructor
+        with pytest.raises(ValueError, match=re.escape("empty or inverted interval [2.0, 1.0)")):
+            rebuild(inverted)
 
 
 class TestTimedLabelSequence:
@@ -102,6 +158,15 @@ class TestReadLab:
     )
     def test_errors_name_line(self, text, where):
         with pytest.raises(LabFormatError, match=where):
+            read_lab(text, "t")
+
+    @pytest.mark.parametrize(
+        "text", ["0.0 1_0 C:maj\n", "1_0.0 20.0 C:maj\n", "0 \u0661 C:maj\n", "0 \uff11 C:maj\n"],
+        ids=["end-separator", "start-separator", "arabic-indic-digit", "fullwidth-digit"],
+    )
+    def test_times_are_plain_decimal(self, text):
+        # float() reads all of these; a .lab time is ASCII without digit separators
+        with pytest.raises(LabFormatError, match=f"^{re.escape(f'line 1: non-numeric time in {text[:-1]!r}')}$"):
             read_lab(text, "t")
 
     def test_write_format(self):

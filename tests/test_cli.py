@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, outputs, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -122,6 +123,14 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == cli.EXIT_DATA
         assert f"{path}: line 2" in err
+
+    def test_digit_separator_is_not_a_time(self, capsys, tmp_path):
+        path = tmp_path / "sep.lab"
+        path.write_text("0.0 1_0 C:maj\n")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == cli.EXIT_DATA
+        assert err == f"error: {path}: line 1: non-numeric time in '0.0 1_0 C:maj'\n"
+        assert out == ""
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "nope.lab"))
@@ -264,7 +273,7 @@ class TestSelect:
         jsonl.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
         code, _, err = run_cli(capsys, "select", "--pseudolabels", str(jsonl), "--config", str(config))
         assert code == cli.EXIT_DATA
-        assert f"{jsonl}, line 1: 'track'" in err
+        assert f"{jsonl}, line 1: lacks required fields: ['track']" in err
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -332,6 +341,80 @@ class TestSelect:
         assert code == cli.EXIT_DATA
         assert message in err
         assert not (tmp_path / "out" / "excerpts.json").exists()
+
+
+class TestCollectorPause:
+    """stats, evaluate and select run with the cyclic collector paused and
+    leave it as they found it; the other commands leave it alone."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @staticmethod
+    def label_argv(tmp_path, command, broken):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("one", "two"):
+            (corpus / f"{name}.lab").write_text(GOOD_LAB)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        if command == "stats":
+            return ["stats", str(empty if broken else corpus)]
+        if command == "evaluate":
+            return ["evaluate", "--pred", str(corpus), "--ref", str(empty if broken else corpus)]
+        pool, durations = pseudo_pool(np.random.default_rng(7), 3, 30.0)
+        jsonl = tmp_path / "pseudo.jsonl"
+        write_pseudolabels_jsonl(jsonl, pool)
+        if broken:
+            jsonl.write_text("[1, 2]\n")
+        config = tmp_path / "select.json"
+        config.write_text(json.dumps({"min_length": 8.0, "labeled_total": 60.0, "track_durations": durations}))
+        return ["select", "--pseudolabels", str(jsonl), "--config", str(config)]
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["ok", "data-error"])
+    @pytest.mark.parametrize("command", ["stats", "evaluate", "select"])
+    def test_leaves_the_collector_as_found(self, capsys, tmp_path, collector, command, broken):
+        argv = self.label_argv(tmp_path, command, broken)
+        code, _, _ = run_cli(capsys, "--output-dir", str(tmp_path / "out"), *argv)
+        assert code == (cli.EXIT_DATA if broken else cli.EXIT_OK)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("command,reader", [("stats", "read_lab_file"), ("evaluate", "read_lab_file"),
+                                                ("select", "read_pseudolabels_jsonl")])
+    def test_collector_is_off_while_reading(self, capsys, tmp_path, monkeypatch, collector, command, reader):
+        seen = []
+        original = getattr(cli, reader)
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, reader, recording)
+        argv = self.label_argv(tmp_path, command, broken=False)
+        code, _, _ = run_cli(capsys, "--output-dir", str(tmp_path / "out"), *argv)
+        assert code == cli.EXIT_OK
+        assert seen and not any(seen)
+        assert gc.isenabled() is collector
+
+    def test_synth_leaves_the_collector_alone(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        original = cli.generate_corpus
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_corpus", recording)
+        assert gc.isenabled()
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_tracks": 1, "track_length_range": [5.0, 6.0]}))
+        code, _, _ = run_cli(capsys, "--output-dir", str(tmp_path / "out"), "synth", "--spec", str(spec))
+        assert code == cli.EXIT_OK
+        assert seen == [True]
 
 
 class TestSynth:

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chordbalance.annotations import Interval
@@ -17,7 +17,6 @@ from chordbalance.selection import (
     ExcerptDataset,
     SelectionConfig,
     SelectionReport,
-    distribution_of_selection,
     read_pseudolabels_jsonl,
     select_balanced_subset,
     write_excerpts_json,
@@ -26,9 +25,11 @@ from chordbalance.selection import (
 )
 from chordbalance.student import PredictedSegments
 
-from helpers import build_sequence, pseudo_pool
+from helpers import build_sequence, distribution_of_selection, pseudo_pool
 
 RARE = DEFAULT_RARE_CLASSES
+
+NOT_AN_OBJECT = "expected a JSON object with track, start, end, label and confidence"
 
 # maj/min-heavy class mix used for the distribution-shift properties
 SKEWED = ("maj",) * 10 + ("min",) * 4 + ("N",) * 2 + ("7", "min7", "maj7", "dim", "hdim7")
@@ -366,6 +367,55 @@ class TestRoundTrips:
         path.write_text('{"track": "t", "start": 0.0}\n')
         with pytest.raises(ValueError, match="line 1"):
             read_pseudolabels_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("[1, 2]", f"{NOT_AN_OBJECT}, got [1, 2]"),
+            ("7", f"{NOT_AN_OBJECT}, got 7"),
+            ('"t"', f'{NOT_AN_OBJECT}, got "t"'),
+            ("null", f"{NOT_AN_OBJECT}, got null"),
+            ('{"track": "t", "start": 0.0, "end": 1.0, "confidence": 0.5}', "lacks required fields: ['label']"),
+            ("{}", "lacks required fields: ['track', 'start', 'end', 'label', 'confidence']"),
+        ],
+        ids=["array", "number", "string", "null", "no-label", "empty-object"],
+    )
+    def test_pseudolabels_jsonl_names_what_a_record_lacks(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n", "utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 1: {message}')}$"):
+            read_pseudolabels_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "line", ['\ufeff{"track": "t"}', '{"a": 1}  x', "[1,", "nul", '{"a": 1} \t', "  ]"],
+        ids=["bom", "extra-data", "truncated", "bad-literal", "trailing-space", "no-value"],
+    )
+    def test_pseudolabels_jsonl_decode_errors_match_json_loads(self, tmp_path, line):
+        self._check_decode_error(tmp_path / "bad.jsonl", line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=st.text().filter(lambda text: "\n" not in text and "\r" not in text))
+    def test_pseudolabels_jsonl_decode_errors_match_json_loads_on_any_line(self, tmp_path_factory, line):
+        assume(line.strip())
+        self._check_decode_error(tmp_path_factory.mktemp("line") / "bad.jsonl", line)
+
+    @staticmethod
+    def _check_decode_error(path, line):
+        """The reader fails on ``line`` with what json.loads raises on it stripped, or
+        not over its JSON syntax where json.loads decodes it."""
+        try:
+            json.loads(line.strip())
+        except ValueError as exc:
+            expected = f"{path}, line 1: {exc}"
+        else:
+            expected = None
+        path.write_text(line + "\n", "utf-8")
+        try:
+            read_pseudolabels_jsonl(path)
+        except ValueError as exc:
+            assert expected is None or str(exc) == expected
+        else:
+            assert expected is None
 
     @pytest.mark.parametrize(
         "edit,message",
